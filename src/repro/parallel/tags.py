@@ -237,7 +237,7 @@ SPACE_DIGEST = register(
 )
 
 # node-parallel sweeps (repro/sdc/sweeper.py evaluate_node_values + the
-# 3D grid program) — the PFASST-ER per-node sub-comm traffic
+# grid program) — the PFASST-ER per-node sub-comm traffic
 NODE_F = register(
     "node:f", "node", None,
     "per-node-slice RHS allgather over the PFASST-ER node comm"

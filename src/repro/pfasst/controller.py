@@ -66,7 +66,7 @@ from repro.parallel.simmpi import (
     Scheduler,
     VirtualComm,
 )
-from repro.parallel.topology import SpaceTimeGrid, SpaceTimeNodeGrid
+from repro.parallel.topology import SpaceTimeGrid
 from repro.pfasst.checkpoint import (
     RunCheckpoint,
     RunCheckpointer,
@@ -244,41 +244,32 @@ def _merge_status(a, b):
 class _GridRecovery:
     """Grid-recovery context threaded into :func:`pfasst_rank_program`.
 
-    Present only when ``p_space > 1`` (or ``p_nodes > 1``) and a recovery
-    policy is active: failure detection then runs over the *world*
-    communicator (a crash in one space column must be visible to every
-    column — the columns share space-row collectives), and all space
-    traffic flows through an :class:`~repro.parallel.simmpi.EpochComm`
-    whose epoch the controller bumps on every restart, orphaning
-    in-flight ring messages from the aborted attempt.
+    Present only when a recovery policy is active and a time slice's
+    *plane* (its ``p_space * p_nodes`` ranks) holds more than one rank:
+    failure detection then runs over the *world* communicator (a crash
+    on one plane member must be visible to every member — they share
+    space and node collectives), warm restarts bitwise-resync each
+    plane over ``plane`` (the live space or node comm, or a comm of its
+    own when both are live), and every live space/node comm is an
+    :class:`~repro.parallel.simmpi.EpochComm` whose epoch the
+    controller bumps on every restart, orphaning in-flight ring
+    messages from the aborted attempt.
 
-    ``grid`` may be a :class:`SpaceTimeGrid` or a
-    :class:`SpaceTimeNodeGrid` — the protocol only needs ``coords``
-    (time slice first) and ``time_row``.  ``space`` is the comm the
-    row-resync broadcast runs over (the whole time-slice plane on the
-    3D grid) and ``row_index`` this rank's position in
-    ``grid.time_row(t_idx)`` (defaults to ``s_idx``, the 2D layout).
-    ``epoch_comms`` lists further epoch-tagged comms (the 3D grid's
-    evaluation-space and node comms) bumped alongside ``space`` by
-    :meth:`bump`.
+    ``row_pos = s * p_nodes + n`` is this rank's index within
+    ``grid.time_row(t_idx)``; ``epoch_comms`` lists the epoch comms
+    other than ``plane`` that :meth:`bump` advances alongside it.
     """
 
     world: VirtualComm
-    grid: Any
-    space: EpochComm
+    grid: SpaceTimeGrid
+    plane: EpochComm
     t_idx: int
-    s_idx: int
-    row_index: Optional[int] = None
+    row_pos: int
     epoch_comms: Tuple[EpochComm, ...] = ()
-
-    @property
-    def row_pos(self) -> int:
-        """This rank's index within ``grid.time_row(t_idx)``."""
-        return self.s_idx if self.row_index is None else self.row_index
 
     def bump(self) -> None:
         """Advance every epoch comm, orphaning the aborted attempt."""
-        self.space.epoch += 1
+        self.plane.epoch += 1
         for c in self.epoch_comms:
             c.epoch += 1
 
@@ -329,19 +320,21 @@ def pfasst_rank_program(
     itself fails.
 
     ``ft_grid`` (set by :func:`_grid_rank_program` when a recovery
-    policy is active at ``p_space > 1``) extends the protocol to the
-    whole grid: detection collectives run over the *world* communicator
-    (a space rank's crash must be visible to every column), warm
-    restarts bitwise-resync every space row from its lowest surviving
-    member before column donors rebuild fully-lost rows, and the space
-    comm's epoch is bumped on each restart so in-flight ring traffic
-    from the aborted attempt is orphaned.
+    policy is active and a time slice spans more than one rank, i.e.
+    ``p_space * p_nodes > 1``) extends the protocol to the whole grid:
+    detection collectives run over the *world* communicator (a crash on
+    any member of a time slice must be visible to every slice), warm
+    restarts bitwise-resync every time-slice plane from its lowest
+    surviving member before column donors rebuild fully-lost planes,
+    and the space/node comms' epochs are bumped on each restart so
+    in-flight ring traffic from the aborted attempt is orphaned.
 
     ``node`` optionally attaches a PFASST-ER node communicator (one per
-    time-space cell of the 3D grid): multi-node RHS evaluation rounds —
-    the diagonal sweeper's inner/final rounds and the controller's
-    restriction/interpolation re-evaluations — then shard the collocation
-    nodes over its ranks and reassemble ``F`` with a ring allgather
+    time-space cell of the grid, live at ``p_nodes > 1``): multi-node
+    RHS evaluation rounds — the diagonal sweeper's inner/final rounds
+    and the controller's restriction/interpolation re-evaluations — then
+    shard the collocation nodes over its ranks and reassemble ``F`` with
+    a ring allgather
     (:func:`repro.sdc.sweeper.evaluate_node_values`).  The sharding is
     bitwise-neutral: each node's RHS is computed exactly once, on one
     rank, from the same inputs, so a ``node`` of size 1 (or ``None``)
@@ -381,9 +374,9 @@ def pfasst_rank_program(
     # fires before a collective leg, which cannot catch it
     ct = rt * 8 if ft else None
     # grid-wide recovery: detection collectives run over the world comm
-    # (a space rank's crash must be visible to every column); at
-    # p_space=1 ``detect`` is the time comm and ``me`` the time rank, so
-    # the op stream is byte-identical to the time-only controller
+    # (a plane member's crash must be visible to every slice); with
+    # one rank per slice ``detect`` is the time comm and ``me`` the time
+    # rank, so the op stream is byte-identical to the time-only controller
     detect = ft_grid.world if ft_grid is not None else comm
     me = detect.rank
 
@@ -632,7 +625,7 @@ def pfasst_rank_program(
         return tuple(sorted({ft_grid.grid.coords(w)[0] for w in failed}))
 
     def _fully_dead_rows(failed):
-        """Time ranks whose *entire* space row crashed (grid only)."""
+        """Time ranks whose *entire* plane crashed (grid only)."""
         dead = []
         for t in _failed_time_ranks(failed):
             if set(ft_grid.grid.time_row(t)) <= set(failed):
@@ -640,16 +633,15 @@ def pfasst_rank_program(
         return tuple(dead)
 
     def _row_resync(block, attempt, failed):
-        """Bitwise-resync this rank's space row after a warm restart.
+        """Bitwise-resync this rank's time-slice plane after a warm restart.
 
-        Row members abort an interrupted iteration at different receive
-        boundaries, so even rows with no crashed member can have
-        diverged from each other mid-V-cycle; every row therefore
-        adopts the level state of its lowest non-crashed member.  A row
-        with *no* surviving member resets instead — it is rebuilt from
-        a column donor by ``_warm_rebuild``.  On the 3D grid the "row"
-        is the whole time-slice plane (``p_space * p_nodes`` ranks) and
-        ``ft_grid.space`` the plane comm.
+        Plane members (the ``p_space * p_nodes`` ranks of one time
+        slice) abort an interrupted iteration at different receive
+        boundaries, so even planes with no crashed member can have
+        diverged from each other mid-V-cycle; every plane therefore
+        adopts the level state of its lowest non-crashed member over
+        ``ft_grid.plane``.  A plane with *no* surviving member resets
+        instead — it is rebuilt from a column donor by ``_warm_rebuild``.
         """
         row = ft_grid.grid.time_row(ft_grid.t_idx)
         alive_s = [i for i, w in enumerate(row) if w not in failed]
@@ -660,18 +652,18 @@ def pfasst_rank_program(
         root = alive_s[0]
         blob = snapshot_levels(levels) if ft_grid.row_pos == root else None
         blob = yield from _protocol(bcast(
-            ft_grid.space, blob, root=root,
+            ft_grid.plane, blob, root=root,
             tag=(tags.FTROW, block, attempt), timeout=rt, retries=rr,
         ), "row-resync broadcast")
         if ft_grid.row_pos != root:
             adopt_levels(levels, blob)
 
-    def _survivors(failed):
-        alive = [r for r in range(p_time) if r not in failed]
+    def _survivors(failed, size):
+        alive = [r for r in range(size) if r not in failed]
         if not alive:
             raise RuntimeError(
-                f"PFASST recovery impossible: all {p_time} time ranks "
-                f"failed simultaneously"
+                f"PFASST recovery impossible: all {size} ranks failed "
+                "simultaneously"
             )
         return alive
 
@@ -683,16 +675,7 @@ def pfasst_rank_program(
         grid), which doubles as the barrier that keeps the recovery
         lock-step.
         """
-        if ft_grid is not None:
-            alive = [r for r in range(detect.size) if r not in failed]
-            if not alive:
-                raise RuntimeError(
-                    f"PFASST recovery impossible: all {detect.size} grid "
-                    "ranks failed simultaneously"
-                )
-            root = alive[0]
-        else:
-            root = _survivors(failed)[0]
+        root = _survivors(failed, detect.size)[0]
         return (
             yield from bcast(
                 detect, u_block, root=root, tag=(tags.FTUB, block, attempt),
@@ -712,7 +695,7 @@ def pfasst_rank_program(
         coarse sweeps before rejoining the V-cycle.  Survivors keep all
         their state.  Returns the (possibly rebuilt) ``u0_by_level``.
         """
-        alive = _survivors(failed)
+        alive = _survivors(failed, p_time)
         if rank not in failed:
             for f in failed:
                 donors = [r for r in alive if r < f]
@@ -907,10 +890,11 @@ def pfasst_rank_program(
                             break  # back out to redo the whole block
                         # warm restart: rebuild the lost ranks in place,
                         # then redo iteration k under the new attempt.
-                        # On the grid, first bitwise-resync every space
-                        # row (members abort at different points), then
-                        # rebuild only rows that lost *all* members —
-                        # partially-crashed rows recover via the resync
+                        # On the grid, first bitwise-resync every
+                        # time-slice plane (members abort at different
+                        # points), then rebuild only planes that lost
+                        # *all* members — partially-crashed planes
+                        # recover via the resync
                         if ft_grid is not None:
                             yield from _row_resync(block, attempt, failed)
                             failed_t = _fully_dead_rows(failed)
@@ -1013,138 +997,93 @@ def _grid_rank_program(
     checkpointer: Optional[RunCheckpointer] = None,
     resume: Optional[RunCheckpoint] = None,
 ) -> Generator[Any, Any, Dict[str, Any]]:
-    """Rank program for the full P_T x P_S grid (paper Fig. 2).
-
-    Splits the world into this rank's space row and time column, runs
-    :func:`pfasst_rank_program` over the time communicator with the space
-    communicator sharding every RHS, then cross-checks that all space
-    ranks of the row hold bitwise-identical end values.
-
-    With a recovery policy active the space comm is wrapped in an
-    :class:`~repro.parallel.simmpi.EpochComm` (restart-safe space
-    collectives: default timeouts on every receive, epoch-tagged
-    messages that restarts orphan) and a :class:`_GridRecovery` context
-    moves failure detection to the world communicator.  Only the
-    ``s = 0`` column contributes to a checkpointer — row state is
-    replicated bitwise, so one column describes the whole grid.
-    """
-    t_idx, s_idx = grid.coords(comm.rank)
-    space = yield from comm.split(color=t_idx, key=s_idx)
-    tcomm = yield from comm.split(color=s_idx, key=t_idx)
-    ft_grid = None
-    if config.recovery != "fail":
-        space = EpochComm(
-            space, timeout=config.recovery_timeout,
-            retries=config.recovery_retries,
-        )
-        ft_grid = _GridRecovery(
-            world=comm, grid=grid, space=space, t_idx=t_idx, s_idx=s_idx
-        )
-    result = yield from pfasst_rank_program(
-        tcomm, config, specs, u0, spatial, space=space, dispatch=dispatch,
-        ft_grid=ft_grid,
-        checkpointer=checkpointer if s_idx == 0 else None,
-        resume=resume,
-    )
-    # every member of a space row drives identical time logic over
-    # identical full states, so end values must agree *bitwise* — any
-    # divergence means the space collective leaked rank-dependent data
-    digest = hashlib.blake2b(
-        np.ascontiguousarray(result["end_value"]).tobytes(), digest_size=16
-    ).hexdigest()
-    digests = yield from allgather(space, digest, tag=tags.SPACE_DIGEST)
-    if len(set(digests)) != 1:
-        raise RuntimeError(
-            f"space row {t_idx} diverged across its {space.size} ranks: "
-            f"end-value digests {digests}"
-        )
-    result["space_rank"] = s_idx
-    result["world_rank"] = comm.rank
-    return result
-
-
-def _node_grid_rank_program(
-    comm: VirtualComm,
-    config: PfasstConfig,
-    specs: Sequence[LevelSpec],
-    u0: np.ndarray,
-    spatial: Optional[Sequence[SpatialTransfer]],
-    grid: SpaceTimeNodeGrid,
-    dispatch: Optional[DispatchContext] = None,
-    checkpointer: Optional[RunCheckpointer] = None,
-    resume: Optional[RunCheckpoint] = None,
-) -> Generator[Any, Any, Dict[str, Any]]:
-    """Rank program for the P_T x P_S x P_N grid (PFASST-ER).
+    """Rank program for the P_T x P_S x P_N grid (paper Fig. 2, PFASST-ER).
 
     Splits the world into this rank's space row (vary ``s``), time
     column (vary ``t``) and node group (vary ``n``), then runs
     :func:`pfasst_rank_program` over the time comm with the space comm
     sharding tree evaluations and the node comm sharding collocation
-    nodes across multi-node evaluation rounds.  All members of a time
-    slice drive identical time logic over identical full states, so
-    after the run the end values are cross-checked bitwise both across
-    the space row and across the node group.
+    nodes across multi-node evaluation rounds.  A dimension of extent 1
+    gets no comm and costs no message: its split and its digest check
+    are skipped, and at ``p_space = p_nodes = 1`` the time comm is the
+    world itself, so the op stream is that of the bare time-parallel
+    controller.  All members of a time slice drive identical time logic
+    over identical full states, so after the run the end values are
+    cross-checked bitwise across the space row and the node group.
 
-    With a recovery policy active the space and node comms are wrapped
-    in :class:`~repro.parallel.simmpi.EpochComm` and a fourth split
-    builds the *plane* comm — all ``p_space * p_nodes`` ranks of this
-    time slice — which takes the row-resync role ``_row_resync`` plays
-    on the 2D grid.  Only the ``(s, n) = (0, 0)`` member of each slice
-    contributes to a checkpointer.
+    With a recovery policy active the live space and node comms are
+    wrapped in :class:`~repro.parallel.simmpi.EpochComm` (restart-safe
+    collectives: default timeouts on every receive, epoch-tagged
+    messages that restarts orphan) and a :class:`_GridRecovery` context
+    moves failure detection to the world communicator.  The resync
+    *plane* — all ``p_space * p_nodes`` ranks of this time slice — is
+    whichever of space/node is live, or a fourth split when both are.
+    Only the ``(s, n) = (0, 0)`` member of each slice contributes to a
+    checkpointer: plane state is replicated bitwise.
     """
     t_idx, s_idx, n_idx = grid.coords(comm.rank)
-    space = yield from comm.split(color=(t_idx, n_idx), key=s_idx)
-    tcomm = yield from comm.split(color=(s_idx, n_idx), key=t_idx)
-    node = yield from comm.split(color=(t_idx, s_idx), key=n_idx)
+    p_space, p_nodes = grid.p_space, grid.p_nodes
+    space: Optional[VirtualComm] = None
+    node: Optional[VirtualComm] = None
+    tcomm = comm
+    # split order space -> time -> node keeps the comm ids stable
+    if p_space > 1:
+        space = yield from comm.split(color=t_idx * p_nodes + n_idx, key=s_idx)
+    if p_space * p_nodes > 1:
+        tcomm = yield from comm.split(color=s_idx * p_nodes + n_idx, key=t_idx)
+    if p_nodes > 1:
+        node = yield from comm.split(color=t_idx * p_space + s_idx, key=n_idx)
     ft_grid = None
-    if config.recovery != "fail":
-        space = EpochComm(
-            space, timeout=config.recovery_timeout,
-            retries=config.recovery_retries,
-        )
-        node = EpochComm(
-            node, timeout=config.recovery_timeout,
-            retries=config.recovery_retries,
-        )
-        plane = yield from comm.split(
-            color=t_idx, key=s_idx * grid.p_nodes + n_idx
-        )
-        plane = EpochComm(
-            plane, timeout=config.recovery_timeout,
-            retries=config.recovery_retries,
-        )
+    if config.recovery != "fail" and p_space * p_nodes > 1:
+
+        def epoch(c):
+            return EpochComm(c, timeout=config.recovery_timeout,
+                             retries=config.recovery_retries)
+
+        live = []
+        if space is not None:
+            space = epoch(space)
+            live.append(space)
+        if node is not None:
+            node = epoch(node)
+            live.append(node)
+        if len(live) == 2:
+            plane = yield from comm.split(
+                color=t_idx, key=s_idx * p_nodes + n_idx
+            )
+            live.insert(0, epoch(plane))
         ft_grid = _GridRecovery(
-            world=comm, grid=grid, space=plane, t_idx=t_idx, s_idx=s_idx,
-            row_index=s_idx * grid.p_nodes + n_idx,
-            epoch_comms=(space, node),
+            world=comm, grid=grid, plane=live[0], t_idx=t_idx,
+            row_pos=s_idx * p_nodes + n_idx, epoch_comms=tuple(live[1:]),
         )
     result = yield from pfasst_rank_program(
-        tcomm, config, specs, u0, spatial,
-        space=space if grid.p_space > 1 else None,
-        dispatch=dispatch, ft_grid=ft_grid,
-        checkpointer=checkpointer if (s_idx == 0 and n_idx == 0) else None,
-        resume=resume,
-        node=node,
+        tcomm, config, specs, u0, spatial, space=space, dispatch=dispatch,
+        ft_grid=ft_grid,
+        checkpointer=checkpointer if (s_idx, n_idx) == (0, 0) else None,
+        resume=resume, node=node,
     )
+    # every member of a time slice drives identical time logic over
+    # identical full states, so end values must agree *bitwise* — any
+    # divergence means a space/node collective leaked rank-dependent data
     digest = hashlib.blake2b(
         np.ascontiguousarray(result["end_value"]).tobytes(), digest_size=16
     ).hexdigest()
-    if grid.p_space > 1:
+    if space is not None:
         digests = yield from allgather(space, digest, tag=tags.SPACE_DIGEST)
         if len(set(digests)) != 1:
             raise RuntimeError(
                 f"space row (t={t_idx}, n={n_idx}) diverged across its "
                 f"{space.size} ranks: end-value digests {digests}"
             )
-    ndigests = yield from allgather(node, digest, tag=tags.NODE_DIGEST)
-    if len(set(ndigests)) != 1:
-        raise RuntimeError(
-            f"node group (t={t_idx}, s={s_idx}) diverged across its "
-            f"{node.size} ranks: end-value digests {ndigests}"
-        )
+    if node is not None:
+        ndigests = yield from allgather(node, digest, tag=tags.NODE_DIGEST)
+        if len(set(ndigests)) != 1:
+            raise RuntimeError(
+                f"node group (t={t_idx}, s={s_idx}) diverged across its "
+                f"{node.size} ranks: end-value digests {ndigests}"
+            )
     result["space_rank"] = s_idx
     result["node_rank"] = n_idx
-    result["world_rank"] = comm.rank
     return result
 
 
@@ -1224,25 +1163,22 @@ def run_pfasst(
     service order — numerics are service-order independent, which is
     exactly what ``verify=True`` checks.
 
-    ``p_space > 1`` runs the full ``p_time x p_space`` space-time grid
-    (paper Fig. 2): the scheduler world holds ``p_time * p_space`` ranks,
-    each splitting into its space row and time column, with every RHS
-    evaluation sharded over the row (requires problems whose evaluator is
-    a :class:`repro.tree.parallel.SpaceParallelTreeEvaluator`; other
+    Every run executes on one
+    :class:`~repro.parallel.topology.SpaceTimeGrid` of ``p_time *
+    p_space * p_nodes`` scheduler ranks (paper Fig. 2 plus PFASST-ER's
+    node axis).  A dimension of extent 1 is free: it is neither split
+    nor cross-checked, so ``p_space = p_nodes = 1`` is the plain
+    time-parallel controller, op for op.
+
+    ``p_space > 1`` shards every RHS evaluation over the space row
+    (requires problems whose evaluator is a
+    :class:`repro.tree.parallel.SpaceParallelTreeEvaluator`; other
     problems silently fall back to redundant serial evaluation).  The
     numerics are identical to ``p_space=1`` up to floating-point
-    accumulation order (the run cross-checks that all space columns agree
-    bitwise with each other).  Fault injection composes with the grid:
-    with ``config.recovery != "fail"`` failure detection runs over the
-    whole ``p_time * p_space`` world, warm restarts bitwise-resync every
-    space row from its lowest surviving member (rows that lost *all*
-    members are rebuilt from a column donor), and all space traffic is
-    epoch-tagged so a restart orphans stale ring messages.
+    accumulation order, and the run cross-checks that all space columns
+    agree bitwise with each other.
 
-    ``p_nodes > 1`` adds PFASST-ER's third dimension: the scheduler
-    world grows to ``p_time * p_space * p_nodes`` ranks on a
-    :class:`~repro.parallel.topology.SpaceTimeNodeGrid`, and every
-    multi-node RHS evaluation round shards the collocation nodes over
+    ``p_nodes > 1`` shards every multi-node RHS evaluation round over
     the ``p_nodes`` ranks of each time-space cell (ring allgather over
     the node comm).  Under the default Gauss-Seidel sweeper only the
     controller's restriction/interpolation re-evaluations are multi-node
@@ -1253,6 +1189,14 @@ def run_pfasst(
     well (node sharding never changes what is computed, only where).
     The run cross-checks bitwise agreement across each node group.
 
+    Fault injection composes with the grid: with ``config.recovery !=
+    "fail"`` and more than one rank per time slice, failure detection
+    runs over the whole world, warm restarts bitwise-resync every
+    time-slice plane from its lowest surviving member (planes that lost
+    *all* members are rebuilt from a column donor), and all space and
+    node traffic is epoch-tagged so a restart orphans stale ring
+    messages.
+
     ``checkpoint=`` (a path) writes a durable, versioned
     :class:`~repro.pfasst.checkpoint.RunCheckpoint` every
     ``checkpoint_interval`` iterations — atomic temp-file + fsync +
@@ -1261,8 +1205,8 @@ def run_pfasst(
     killed run from its last checkpoint: the resumed run adopts the
     level state bitwise, skips the completed blocks and iterations, and
     reaches final u-blocks and residuals identical to an uninterrupted
-    run.  Resuming under a different config/``p_time``/``p_space`` is
-    rejected (digest mismatch).
+    run.  Resuming under a different config/``p_time``/``p_space``/
+    ``p_nodes`` is rejected (digest mismatch).
 
     Set ``measure_compute=True`` (and a cost model) for speedup studies;
     leave it off for pure accuracy experiments, where virtual time is
@@ -1310,7 +1254,9 @@ def run_pfasst(
     near-field batches, bitwise identical to numpy) or ``"cupy"``
     (GPU-resident near field, rounding-level equivalent).  ``None``
     leaves each evaluator's own selection (constructor argument or
-    ``REPRO_BACKEND``) in place.  The kernel backend composes with
+    ``REPRO_BACKEND``) in place.  The selection holds for this run only:
+    the caller's evaluators get their previous backends back when
+    ``run_pfasst`` returns or raises.  The kernel backend composes with
     ``executor=``: backends pickle as their registry name, so evaluators
     dispatched into :class:`~repro.parallel.executor.ProcessExecutor`
     workers re-resolve the same backend on the worker host.  Problems
@@ -1319,14 +1265,11 @@ def run_pfasst(
     check_positive("p_time", p_time)
     check_positive("p_space", p_space)
     check_positive("p_nodes", p_nodes)
+    kernel_backend = None
     if backend is not None:
         from repro.backends import get_backend
 
         kernel_backend = get_backend(backend)  # raises early if unusable
-        for spec in specs:
-            ev = getattr(spec.problem, "evaluator", None)
-            if ev is not None and hasattr(ev, "backend"):
-                ev.backend = kernel_backend
     if checkpoint_interval < 1:
         raise ValueError(
             f"checkpoint_interval must be >= 1, got {checkpoint_interval}"
@@ -1338,8 +1281,9 @@ def run_pfasst(
             "run, but a resumed run executes only the tail — certify "
             "the uninterrupted run instead"
         )
+    grid = SpaceTimeGrid(p_time, p_space, p_nodes)
     scheduler = Scheduler(
-        p_time * p_space * p_nodes, cost_model=cost_model,
+        grid.world_size, cost_model=cost_model,
         measure_compute=measure_compute,
         verify=verify, fault_plan=fault_plan, service_order=service_order,
         tracer=tracer, executor=executor, certify=certify,
@@ -1372,36 +1316,30 @@ def run_pfasst(
                 "written under a different (config, p_time, p_space); "
                 "resume with the original run configuration"
             )
-    if p_nodes > 1:
-        grid3 = SpaceTimeNodeGrid(p_time, p_space, p_nodes)
-        results = scheduler.run(
-            _node_grid_rank_program,
-            args=(config, specs, np.asarray(u0), spatial, grid3, dispatch,
-                  checkpointer, resume),
-        )
-        # space columns and node groups are bitwise-identical (checked
-        # inside the program); report (s, n) = (0, 0) as canonical
-        results = [
-            r for r in results
-            if r["space_rank"] == 0 and r["node_rank"] == 0
-        ]
-    elif p_space > 1:
-        grid = SpaceTimeGrid(p_time, p_space)
+    # rebind only for this run: the caller's evaluators get their own
+    # backends back afterwards
+    rebound = []
+    if kernel_backend is not None:
+        for spec in specs:
+            ev = getattr(spec.problem, "evaluator", None)
+            if ev is not None and hasattr(ev, "backend"):
+                rebound.append((ev, ev.backend))
+                ev.backend = kernel_backend
+    try:
         results = scheduler.run(
             _grid_rank_program,
             args=(config, specs, np.asarray(u0), spatial, grid, dispatch,
                   checkpointer, resume),
         )
-        # all space columns are bitwise-identical (checked inside the
-        # program); report the s=0 column as the canonical one
-        results = [r for r in results if r["space_rank"] == 0]
-    else:
-        results = scheduler.run(
-            pfasst_rank_program,
-            args=(config, specs, np.asarray(u0), spatial, None, dispatch,
-                  None, checkpointer, resume),
-        )
-    by_rank = sorted(results, key=lambda r: r["rank"])
+    finally:
+        for ev, previous in reversed(rebound):
+            ev.backend = previous
+    # every time slice's plane is bitwise-identical (checked inside the
+    # program); report its (s, n) = (0, 0) member as the canonical one
+    by_rank = sorted(
+        (r for r in results if r["space_rank"] == r["node_rank"] == 0),
+        key=lambda r: r["rank"],
+    )
     return PfasstResult(
         u_end=by_rank[-1]["end_value"],
         slice_end_values=[r["end_value"] for r in by_rank],

@@ -31,11 +31,11 @@ from typing import Literal, Optional, Tuple
 import numpy as np
 
 from repro.analysis.sanitize import boundary
+from repro.obs.timing import TimingRegistry
 from repro.parallel import tags
 from repro.parallel.collectives import allgather
 from repro.parallel.executor import Compute, ComputeTask
 from repro.sdc.quadrature import QuadratureRule
-from repro.utils.timing import TimingRegistry
 from repro.vortex.problem import ODEProblem
 
 __all__ = [

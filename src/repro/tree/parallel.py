@@ -1,7 +1,7 @@
 """Space-parallel Barnes-Hut evaluation over simulated MPI (paper Fig. 2).
 
 This module *executes* the paper's space dimension: the P_S ranks of one
-space communicator (a row of the P_T x P_S grid, see
+space communicator (a space row of the P_T x P_S x P_N grid, see
 :class:`repro.parallel.topology.SpaceTimeGrid`) cooperatively evaluate one
 tree RHS.  Following PEPC's Warren-Salmon structure (paper Sec. III-A,
 Fig. 3), each space rank

@@ -1,4 +1,4 @@
-"""Tests for the space-time process grid (paper Fig. 2)."""
+"""Tests for the space-time process grid (paper Fig. 2) at ``p_nodes = 1``."""
 
 import pytest
 
@@ -12,14 +12,15 @@ class TestGrid:
     def test_coords_roundtrip(self):
         grid = SpaceTimeGrid(3, 5)
         for r in range(grid.world_size):
-            t, s = grid.coords(r)
+            t, s, n = grid.coords(r)
+            assert n == 0
             assert grid.world_rank(t, s) == r
 
     def test_time_major_layout(self):
         grid = SpaceTimeGrid(2, 4)
-        assert grid.coords(0) == (0, 0)
-        assert grid.coords(3) == (0, 3)
-        assert grid.coords(4) == (1, 0)
+        assert grid.coords(0) == (0, 0, 0)
+        assert grid.coords(3) == (0, 3, 0)
+        assert grid.coords(4) == (1, 0, 0)
 
     def test_space_comm_is_one_pepc_instance(self):
         grid = SpaceTimeGrid(2, 4)
@@ -68,7 +69,7 @@ class TestGrid:
         for t in range(p_time):
             for s in range(p_space):
                 r = grid.world_rank(t, s)
-                assert grid.coords(r) == (t, s)
+                assert grid.coords(r) == (t, s, 0)
                 seen.add(r)
         assert seen == set(range(grid.world_size))
 
@@ -76,7 +77,7 @@ class TestGrid:
     def test_non_square_comm_membership(self, p_time, p_space):
         grid = SpaceTimeGrid(p_time, p_space)
         for r in range(grid.world_size):
-            t, s = grid.coords(r)
+            t, s, _ = grid.coords(r)
             space = grid.space_comm(r)
             tcomm = grid.time_comm(r)
             assert len(space) == p_space and len(tcomm) == p_time
