@@ -24,13 +24,8 @@ reduce to one attribute check per phase).  Pass ``--traced`` to also
 write ``BENCH_evaluator_trace.json`` — the wall-clock phase spans of one
 traced evaluation, viewable with ``repro-trace summarize``.
 
-Every row is tagged with the kernel backend it ran on
-(:mod:`repro.backends`); pass ``--backend NAME`` (repeatable) to choose
-the set, defaulting to every usable backend.  Non-NumPy rows carry a
-``vs_numpy_speedup`` against the NumPy row of the same size, and the
-output records a ``machine`` block (CPU count, platform, library
-versions) — threaded speedups are only meaningful relative to
-``machine.cpu_count``.
+The output records a ``machine`` block (CPU count, platform, library
+versions) so the timings can be read against the host that took them.
 
 Run directly (``python benchmarks/bench_evaluator_hotpath.py``); the
 pytest entry points are marked ``slow`` and excluded from tier-1.
@@ -44,12 +39,11 @@ import platform
 import sys
 import time
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 import pytest
 
-from repro.backends import get_backend, usable_backends
 from repro.obs import MetricsRegistry, Tracer, use_metrics, use_tracer
 from repro.tree import TreeEvaluator
 from repro.tree.reference import reference_vortex_field
@@ -69,7 +63,6 @@ def machine_spec() -> Dict:
         "platform": platform.platform(),
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "backends_usable": list(usable_backends()),
     }
 
 
@@ -82,13 +75,8 @@ def _best_of(fn, repeats: int) -> float:
     return best
 
 
-def bench_size(n: int, repeats: int = 3, backend: str = "numpy",
-               seed_s: Optional[float] = None) -> Dict:
-    """One measurement row for ``n`` particles on one kernel backend.
-
-    ``seed_s`` lets :func:`run_experiment` time the (backend-independent)
-    seed reference once per size and share it across backend rows.
-    """
+def bench_size(n: int, repeats: int = 3) -> Dict:
+    """One measurement row for ``n`` particles."""
     cfg = SheetConfig(n=n, sigma_over_h=3.0)
     ps = spherical_vortex_sheet(cfg)
     kernel = get_kernel("algebraic6")
@@ -100,11 +88,10 @@ def bench_size(n: int, repeats: int = 3, backend: str = "numpy",
         reference_vortex_field(pos, ch, kernel, cfg.sigma,
                                theta=THETA_COARSE, leaf_size=LEAF_SIZE)
 
-    if seed_s is None:
-        seed_s = _best_of(seed_pair, repeats)
+    seed_s = _best_of(seed_pair, repeats)
 
     fine = TreeEvaluator(kernel, cfg.sigma, theta=THETA_FINE,
-                         leaf_size=LEAF_SIZE, backend=backend)
+                         leaf_size=LEAF_SIZE)
     coarse = fine.coarsened(THETA_COARSE)
 
     def batched_pair_cold():
@@ -131,7 +118,6 @@ def bench_size(n: int, repeats: int = 3, backend: str = "numpy",
 
     return {
         "n": n,
-        "backend": fine.backend.name,
         "seed_pair_s": round(seed_s, 6),
         "batched_pair_cold_s": round(cold_s, 6),
         "pair_speedup": round(seed_s / cold_s, 3),
@@ -146,38 +132,18 @@ def bench_size(n: int, repeats: int = 3, backend: str = "numpy",
     }
 
 
-def run_experiment(sizes=SIZES, backends=None) -> Dict:
-    if backends is None:
-        backends = list(usable_backends())
-    if "numpy" in backends:  # numpy first: baseline for vs_numpy_speedup
-        backends = ["numpy"] + [b for b in backends if b != "numpy"]
-    rows = []
-    for n in sizes:
-        repeats = 3 if n <= 8192 else 1
-        seed_s = None
-        numpy_cold = None
-        for backend in backends:
-            row = bench_size(n, repeats=repeats, backend=backend,
-                             seed_s=seed_s)
-            seed_s = row["seed_pair_s"]
-            if backend == "numpy":
-                numpy_cold = row["batched_pair_cold_s"]
-            elif numpy_cold is not None:
-                row["vs_numpy_speedup"] = round(
-                    numpy_cold / row["batched_pair_cold_s"], 3)
-            rows.append(row)
+def run_experiment(sizes=SIZES) -> Dict:
+    rows = [bench_size(n, repeats=3 if n <= 8192 else 1) for n in sizes]
     return {
         "benchmark": "evaluator_hotpath",
         "description": "fine+coarse RHS pair: batched engine + TreeState "
-                       "cache vs seed per-group implementation, per "
-                       "kernel backend",
+                       "cache vs seed per-group implementation",
         "config": {
             "theta_fine": THETA_FINE,
             "theta_coarse": THETA_COARSE,
             "leaf_size": LEAF_SIZE,
             "kernel": "algebraic6",
             "gradient": True,
-            "backends": [get_backend(b).describe() for b in backends],
         },
         "machine": machine_spec(),
         "results": rows,
@@ -229,38 +195,17 @@ def export_phase_trace(n: int = 8192) -> Path:
     return save_trace(tracer, out, metrics=metrics)
 
 
-def _parse_backends(argv: List[str]) -> Optional[List[str]]:
-    """Collect ``--backend NAME`` occurrences; None means 'all usable'."""
-    names: List[str] = []
-    it = iter(range(len(argv)))
-    for i in it:
-        if argv[i] == "--backend":
-            if i + 1 >= len(argv):
-                raise SystemExit("--backend requires a name "
-                                 f"(one of: {', '.join(usable_backends())})")
-            names.append(argv[i + 1])
-            next(it, None)
-        elif argv[i].startswith("--backend="):
-            names.append(argv[i].split("=", 1)[1])
-    for name in names:
-        get_backend(name).require()  # fail fast with the actionable message
-    return names or None
-
-
 def main(argv: List[str]) -> None:
     sizes = SIZES[:2] if "--quick" in argv else SIZES
-    data = run_experiment(sizes, backends=_parse_backends(argv))
+    data = run_experiment(sizes)
     OUT_PATH.write_text(json.dumps(data, indent=2) + "\n")
     print(f"wrote {OUT_PATH} (cpu_count={data['machine']['cpu_count']})")
     for row in data["results"]:
-        extra = (f", vs numpy {row['vs_numpy_speedup']:.2f}x"
-                 if "vs_numpy_speedup" in row else "")
-        print(f"N={row['n']:>6} [{row['backend']}]: "
-              f"seed pair {row['seed_pair_s']:.3f}s, "
+        print(f"N={row['n']:>6}: seed pair {row['seed_pair_s']:.3f}s, "
               f"batched pair {row['batched_pair_cold_s']:.3f}s "
               f"({row['pair_speedup']:.1f}x), cache-hit "
               f"{row['cache_hit_speedup']:.1f}x, tracer-on overhead "
-              f"{row['tracer_on_overhead_pct']:+.1f}%{extra}")
+              f"{row['tracer_on_overhead_pct']:+.1f}%")
     if "--traced" in argv:
         trace_path = export_phase_trace(sizes[-1])
         print(f"wrote {trace_path} "

@@ -24,7 +24,6 @@ Packages
 --------
 ``repro.vortex``    vortex particle method (kernels, RHS, initial data)
 ``repro.tree``      Barnes-Hut tree code ("PEPC")
-``repro.backends``  pluggable kernel backends (numpy / threaded / cupy)
 ``repro.nbody``     direct reference solvers (Coulomb / gravity)
 ``repro.sdc``       spectral deferred corrections
 ``repro.pfasst``    PFASST and parareal parallel-in-time methods

@@ -1,11 +1,10 @@
 """Wall-clock phase timing, bridged into the tracer.
 
 This module is the home of :class:`Timer` / :class:`TimingRegistry`.
-The tree code and the PFASST sweepers need fine-grained phase
-timings (tree build, moments, traversal, far/near summation; sweeps per
-level) so the benchmark harness can reproduce the per-phase breakdowns of
-the paper (Fig. 5) and feed measured compute costs into the virtual-time
-scheduler (Fig. 8).
+The tree code needs fine-grained phase timings (tree build, moments,
+traversal, far/near summation) so the benchmark harness can reproduce
+the per-phase breakdowns of the paper (Fig. 5) and feed measured
+compute costs into the virtual-time scheduler (Fig. 8).
 
 When a tracer is installed globally (:func:`repro.obs.tracer.use_tracer`),
 every :meth:`TimingRegistry.phase` activation is *also* recorded as a

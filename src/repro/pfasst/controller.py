@@ -1148,7 +1148,6 @@ def run_pfasst(
     checkpoint: Optional[Any] = None,
     checkpoint_interval: int = 1,
     resume_from: Optional[Any] = None,
-    backend: Optional[str] = None,
 ) -> PfasstResult:
     """Execute PFASST with ``p_time`` simulated time ranks.
 
@@ -1246,30 +1245,10 @@ def run_pfasst(
     channel census + any message races) lands in ``result.certificate``
     and in the ``comm.certificate`` metric.  Combined with ``verify=True``
     the replay's digest must match or the run fails.
-
-    ``backend`` selects the *kernel backend* (:mod:`repro.backends`) for
-    every level whose problem carries a backend-aware field evaluator
-    (``repro.tree.TreeEvaluator`` and subclasses): ``"numpy"`` (serial
-    reference), ``"threaded"`` (thread pool over the write-disjoint
-    near-field batches, bitwise identical to numpy) or ``"cupy"``
-    (GPU-resident near field, rounding-level equivalent).  ``None``
-    leaves each evaluator's own selection (constructor argument or
-    ``REPRO_BACKEND``) in place.  The selection holds for this run only:
-    the caller's evaluators get their previous backends back when
-    ``run_pfasst`` returns or raises.  The kernel backend composes with
-    ``executor=``: backends pickle as their registry name, so evaluators
-    dispatched into :class:`~repro.parallel.executor.ProcessExecutor`
-    workers re-resolve the same backend on the worker host.  Problems
-    without a backend-aware evaluator are silently left untouched.
     """
     check_positive("p_time", p_time)
     check_positive("p_space", p_space)
     check_positive("p_nodes", p_nodes)
-    kernel_backend = None
-    if backend is not None:
-        from repro.backends import get_backend
-
-        kernel_backend = get_backend(backend)  # raises early if unusable
     if checkpoint_interval < 1:
         raise ValueError(
             f"checkpoint_interval must be >= 1, got {checkpoint_interval}"
@@ -1313,27 +1292,14 @@ def run_pfasst(
         if resume.config_digest and resume.config_digest != run_digest:
             raise ValueError(
                 "checkpoint config digest mismatch: the checkpoint was "
-                "written under a different (config, p_time, p_space); "
-                "resume with the original run configuration"
+                "written under a different (config, p_time, p_space, "
+                "p_nodes); resume with the original run configuration"
             )
-    # rebind only for this run: the caller's evaluators get their own
-    # backends back afterwards
-    rebound = []
-    if kernel_backend is not None:
-        for spec in specs:
-            ev = getattr(spec.problem, "evaluator", None)
-            if ev is not None and hasattr(ev, "backend"):
-                rebound.append((ev, ev.backend))
-                ev.backend = kernel_backend
-    try:
-        results = scheduler.run(
-            _grid_rank_program,
-            args=(config, specs, np.asarray(u0), spatial, grid, dispatch,
-                  checkpointer, resume),
-        )
-    finally:
-        for ev, previous in reversed(rebound):
-            ev.backend = previous
+    results = scheduler.run(
+        _grid_rank_program,
+        args=(config, specs, np.asarray(u0), spatial, grid, dispatch,
+              checkpointer, resume),
+    )
     # every time slice's plane is bitwise-identical (checked inside the
     # program); report its (s, n) = (0, 0) member as the canonical one
     by_rank = sorted(

@@ -118,11 +118,6 @@ class Level:
         return getattr(self.spec.problem, "evaluator", None)
 
     @property
-    def timings(self):
-        """This level's sweep-phase :class:`~repro.obs.timing.TimingRegistry`."""
-        return self.sweeper.timings
-
-    @property
     def end_value(self) -> np.ndarray:
         """Solution at the right edge of the slice."""
         if self.U is None or self.F is None or self.u0 is None:

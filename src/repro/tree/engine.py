@@ -46,16 +46,6 @@ per-group segment table shared by the far and near phases (replacing the
 seed's two stable argsorts + four ``searchsorted`` calls; a sort is only
 performed when the traversal output is not already group-ordered).
 
-**Backends.** Each pass takes an optional kernel backend
-(:mod:`repro.backends`) selecting the execution strategy and array
-residency: the batch/chunk partitions built here are *write-disjoint*
-(each owns the target rows or slot range it scatters into), which is
-the invariant that lets the ``threaded`` backend run them on a thread
-pool bitwise-identically and the ``cupy`` backend move the vortex
-near-field pass — the ~90% cost center — onto the GPU with transfers
-only at the pass boundary.  ``backend=None`` resolves through
-``REPRO_BACKEND`` and defaults to the serial NumPy reference.
-
 **Process safety.** The batched kernels are safe to run inside worker
 processes of the executor backend (:mod:`repro.parallel.executor`):
 module state is limited to immutable constants (``_INV_FOUR_PI``, the
@@ -75,7 +65,6 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.backends import KernelBackend, get_backend
 from repro.nbody.direct import coulomb_pairs
 from repro.tree.build import Octree
 from repro.tree.evaluate import (
@@ -609,18 +598,8 @@ def batched_near_vortex(
     vel: np.ndarray,
     grad: Optional[np.ndarray],
     budget_bytes: Optional[int] = None,
-    backend: Optional[KernelBackend] = None,
 ) -> None:
     """Near-field direct pass, accumulated into sorted-order outputs.
-
-    ``backend`` selects the kernel-execution backend
-    (:mod:`repro.backends`): batches are write-disjoint (each owns the
-    target rows of its groups), so the CPU backends dispatch them
-    through :meth:`~repro.backends.KernelBackend.map_batches` — serial
-    for ``numpy``, a thread pool for ``threaded``, both bitwise
-    identical — while the ``cupy`` backend runs the whole pass on the
-    device (transfer points at this function's boundary only).  ``None``
-    resolves via ``REPRO_BACKEND`` / the NumPy default.
 
     Dense form of :func:`~repro.vortex.rhs.biot_savart_pairs`: with
     ``r = t - s`` the cross products split into per-target and
@@ -682,15 +661,7 @@ def batched_near_vortex(
         active, layout.group_count, counts,
         elem_bytes, _NEAR_PAIR_BYTES[gradient], budget,
     )
-    bk = get_backend(backend)
-    if bk.device == "gpu":
-        _near_vortex_device(
-            bk, tree, charges_sorted, layout, kernel, sigma,
-            gradient, exclude_zero, vel, grad, batches, expand,
-        )
-        return
-
-    def run_batch(batch: np.ndarray) -> None:
+    for batch in batches:
         b = batch.size
         tc = layout.group_count[batch]
         sc = counts[batch]
@@ -749,7 +720,7 @@ def batched_near_vortex(
                 _eps_add(gm, ff[..., 0:3])
                 gm *= -_INV_FOUR_PI
                 grad[flat] += gm[tvalid]
-            return
+            continue
 
         r = t[:, :, None, :] - s[:, None, :, :]
         r2 = np.einsum("bcsi,bcsi->bcs", r, r)
@@ -784,179 +755,10 @@ def batched_near_vortex(
             gm *= -_INV_FOUR_PI
             grad[flat] += gm[tvalid]
 
-    bk.map_batches(run_batch, batches)
-
-
-def _xp_cross(xp, a, b):
-    """``a x b`` for (..., 3) arrays in an arbitrary array namespace.
-
-    Device-path twin of :func:`repro.tree.evaluate._cross`, which
-    allocates through ``np.empty`` and therefore pins the result to the
-    host; everything else in the cross product is ufunc arithmetic that
-    dispatches through the namespace protocols unchanged.
-    """
-    out = xp.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.float64)
-    out[..., 0] = a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1]
-    out[..., 1] = a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2]
-    out[..., 2] = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
-    return out
-
-
-def _near_vortex_device(
-    backend: KernelBackend,
-    tree: Octree,
-    charges_sorted: np.ndarray,
-    layout: TraversalLayout,
-    kernel: SmoothingKernel,
-    sigma: float,
-    gradient: bool,
-    exclude_zero: bool,
-    vel: np.ndarray,
-    grad: Optional[np.ndarray],
-    batches: List[np.ndarray],
-    expand: bool,
-) -> None:
-    """Device-resident near-field pass (GPU backends).
-
-    Mirrors the host batch body with the backend's array namespace:
-    positions, charges and group centers cross to the device once per
-    evaluation, per-batch index blocks cross as they are built (index
-    math stays on the host — it is integer bookkeeping, not GEMM work),
-    and the accumulated outputs cross back once at the end.  Those are
-    the only transfer points.  Requires an array-namespace-generic
-    kernel (``kernel.xp_generic``; the algebraic family and the singular
-    kernel qualify — their radial factors are pure ufunc arithmetic).
-
-    Results match the host backends to rounding error, not bitwise: the
-    device GEMMs reduce in a different order.
-    """
-    if not getattr(kernel, "xp_generic", False):
-        raise TypeError(
-            f"kernel {type(kernel).__name__} is not array-namespace "
-            "generic; device backends support the algebraic family and "
-            "the singular kernel (see docs/backends.md)"
-        )
-    xp = backend.xp
-    pos_d = backend.to_device(tree.positions)
-    chg_d = backend.to_device(charges_sorted)
-    ctr_d = backend.to_device(layout.group_center)
-    vel_d = xp.zeros(vel.shape, dtype=np.float64)
-    grad_d = xp.zeros(grad.shape, dtype=np.float64) if gradient else None
-
-    for batch in batches:
-        b = batch.size
-        tc = layout.group_count[batch]
-        sc = layout.src_count[batch]
-        cmax, smax = int(tc.max()), int(sc.max())
-        tidx, tvalid = _padded_lanes(layout.group_start[batch], tc, cmax)
-        slane, svalid = _padded_lanes(layout.src_start[batch], sc, smax)
-        sidx = layout.src_concat[slane]
-
-        tidx_d = backend.to_device(tidx)
-        tvalid_d = backend.to_device(tvalid)
-        svalid_d = backend.to_device(svalid)
-        gc = ctr_d[backend.to_device(batch)][:, None, :]
-        t = pos_d[tidx_d] - gc
-        s = pos_d[backend.to_device(sidx)] - gc
-        a = chg_d[backend.to_device(sidx)]
-        flat = tidx_d[tvalid_d]
-
-        if expand:
-            a[~svalid_d] = 0.0
-            sxa = _xp_cross(xp, s, a)
-            r2 = xp.matmul(t, s.transpose(0, 2, 1))
-            r2 *= -2.0
-            r2 += xp.einsum("bci,bci->bc", t, t)[:, :, None]
-            r2 += xp.einsum("bsi,bsi->bs", s, s)[:, None, :]
-            xp.maximum(r2, 0.0, out=r2)
-            f, g = kernel.f_g_from_r2(r2, sigma, gradient)
-            nf = 24 if gradient else 6
-            feat = xp.empty((b, smax, nf), dtype=np.float64)
-            feat[:, :, 0:3] = a
-            feat[:, :, 3:6] = sxa
-            if gradient:
-                xp.multiply(
-                    a[:, :, :, None], s[:, :, None, :],
-                    out=feat[:, :, 6:15].reshape(b, smax, 3, 3),
-                )
-                xp.multiply(
-                    sxa[:, :, :, None], s[:, :, None, :],
-                    out=feat[:, :, 15:24].reshape(b, smax, 3, 3),
-                )
-            ff = xp.matmul(f, feat[:, :, 0:6])
-            u = _xp_cross(xp, t, ff[..., 0:3])
-            u -= ff[..., 3:6]
-            u *= -_INV_FOUR_PI
-            vel_d[flat] += u[tvalid_d]
-            if gradient:
-                gg = xp.matmul(g, feat)
-                hsum = _xp_cross(xp, t, gg[..., 0:3])
-                hsum -= gg[..., 3:6]
-                g3 = gg[..., 6:15].reshape(b, cmax, 3, 3)
-                g4 = gg[..., 15:24].reshape(b, cmax, 3, 3)
-                gm = hsum[..., :, None] * t[..., None, :]
-                xp.negative(g3, out=g3)
-                _cross_matrix_add(gm, t, g3)
-                gm += g4
-                _eps_add(gm, ff[..., 0:3])
-                gm *= -_INV_FOUR_PI
-                grad_d[flat] += gm[tvalid_d]
-            continue
-
-        r = t[:, :, None, :] - s[:, None, :, :]
-        r2 = xp.einsum("bcsi,bcsi->bcs", r, r)
-        if not gradient:
-            del r
-        if exclude_zero:
-            zero = r2 == 0.0
-            r2[zero] = 1.0
-        f, g = kernel.f_g_from_r2(r2, sigma, gradient)
-        f *= svalid_d[:, None, :]
-        if exclude_zero:
-            f[zero] = 0.0
-        fg = xp.empty((b, smax, 6), dtype=np.float64)
-        fg[:, :, 0:3] = a
-        fg[:, :, 3:6] = _xp_cross(xp, s, a)
-        ff = xp.matmul(f, fg)
-        u = _xp_cross(xp, t, ff[..., 0:3])
-        u -= ff[..., 3:6]
-        u *= -_INV_FOUR_PI
-        vel_d[flat] += u[tvalid_d]
-
-        if gradient:
-            g *= svalid_d[:, None, :]
-            if exclude_zero:
-                g[zero] = 0.0
-            h = _xp_cross(xp, r, a[:, None, :, :])
-            del r
-            h *= g[..., None]
-            gm = xp.einsum("bcsa->bca", h)[..., :, None] * t[..., None, :]
-            gm -= xp.matmul(h.transpose(0, 1, 3, 2), s[:, None, :, :])
-            _eps_add(gm, ff[..., 0:3])
-            gm *= -_INV_FOUR_PI
-            grad_d[flat] += gm[tvalid_d]
-
-    vel += backend.from_device(vel_d)
-    if gradient:
-        grad += backend.from_device(grad_d)
-
 
 # ---------------------------------------------------------------------------
 # Coulomb (scalar charge) drivers
 # ---------------------------------------------------------------------------
-
-def _map_host_chunks(backend: KernelBackend, fn, chunks) -> None:
-    """Run write-disjoint host chunks through a CPU backend's strategy.
-
-    Device backends have no device implementation of the scalar-charge
-    pair streams, so their chunks run on the host serial loop instead of
-    ``map_batches`` (whose semantics belong to the device).
-    """
-    if backend.device != "cpu":
-        for ab in chunks:
-            fn(ab)
-        return
-    backend.map_batches(fn, chunks)
 
 def batched_far_coulomb(
     tree: Octree,
@@ -968,27 +770,17 @@ def batched_far_coulomb(
     phi: np.ndarray,
     field: np.ndarray,
     budget_bytes: Optional[int] = None,
-    backend: Optional[KernelBackend] = None,
 ) -> None:
-    """Far-field multipole pass for scalar charges (sorted order).
-
-    Chunks cover disjoint slot ranges, so CPU backends may run them
-    concurrently (bitwise identical — no shared accumulation).  Device
-    backends fall back to the host serial loop here: the scalar-charge
-    pair stream is gather-bound, not GEMM-bound, and does not pay for a
-    transfer (see ``docs/backends.md``).
-    """
+    """Far-field multipole pass for scalar charges (sorted order)."""
     if layout.far_pairs == 0:
         return
     m1 = moments.m1 if order >= 1 else None
     m2 = moments.m2 if order >= 2 else None
     chunk = _chunk_size(budget_bytes, _FAR_BYTES_PER_PAIR[False])
-
-    def run_chunk(ab: Tuple[int, int]) -> None:
-        a, b = ab
+    for a, b in _slot_chunks(layout.far_cum, chunk):
         reps, idx, total = _expand(layout.far_count, layout.far_base, a, b)
         if total == 0:
-            return
+            continue
         nodes = layout.far.node[idx]
         p, e = evaluate_coulomb_far_pairs(
             tree.positions[a:b][reps],
@@ -1003,11 +795,6 @@ def batched_far_coulomb(
         _scatter_add(phi, a, reps, p)
         _scatter_add(field, a, reps, e)
 
-    _map_host_chunks(
-        get_backend(backend), run_chunk,
-        list(_slot_chunks(layout.far_cum, chunk)),
-    )
-
 
 def batched_near_coulomb(
     tree: Octree,
@@ -1019,23 +806,15 @@ def batched_near_coulomb(
     phi: np.ndarray,
     field: np.ndarray,
     budget_bytes: Optional[int] = None,
-    backend: Optional[KernelBackend] = None,
 ) -> None:
-    """Near-field direct pass for scalar charges (sorted order).
-
-    Same backend semantics as :func:`batched_far_coulomb`: write-disjoint
-    slot chunks run through the CPU backend's execution strategy, device
-    backends stay on the host for the scalar pair stream.
-    """
+    """Near-field direct pass for scalar charges (sorted order)."""
     if layout.near_pairs == 0:
         return
     chunk = _chunk_size(budget_bytes, _NEAR_BYTES_PER_PAIR[False])
-
-    def run_chunk(ab: Tuple[int, int]) -> None:
-        a, b = ab
+    for a, b in _slot_chunks(layout.near_cum, chunk):
         reps, idx, total = _expand(layout.near_count, layout.near_base, a, b)
         if total == 0:
-            return
+            continue
         src = layout.src_concat[idx]
         p, e = coulomb_pairs(
             tree.positions[a:b][reps],
@@ -1047,8 +826,3 @@ def batched_near_coulomb(
         )
         _scatter_add(phi, a, reps, p)
         _scatter_add(field, a, reps, e)
-
-    _map_host_chunks(
-        get_backend(backend), run_chunk,
-        list(_slot_chunks(layout.near_cum, chunk)),
-    )

@@ -31,12 +31,11 @@ counterpart, mirroring PEPC's multi-purpose design.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from repro.analysis.sanitize import boundary
-from repro.backends import KernelBackend, get_backend
 from repro.tree.build import Octree
 from repro.tree.engine import (
     TraversalLayout,
@@ -133,6 +132,10 @@ def _engine_layout(
     return layout
 
 
+class _Engine(NamedTuple):
+    name: str
+
+
 class TreeEvaluator(FieldEvaluator):
     """Barnes-Hut evaluator for the vortex RHS.
 
@@ -159,19 +162,11 @@ class TreeEvaluator(FieldEvaluator):
     batch_budget_bytes :
         Approximate temporary-memory budget per engine chunk; ``None``
         uses the engine default (64 MiB).
-    backend :
-        Kernel-execution backend for the batched far/near passes — a
-        registry name (``"numpy"``, ``"threaded"``, ``"cupy"``), an
-        already-resolved :class:`~repro.backends.KernelBackend`, or
-        ``None`` to resolve via the ``REPRO_BACKEND`` environment
-        variable (default ``"numpy"``).  Resolution is eager, so an
-        unavailable backend raises
-        :class:`~repro.backends.BackendUnavailableError` here rather
-        than mid-run.  The resolved backend pickles as its name and is
-        re-resolved inside :class:`~repro.parallel.executor.ProcessExecutor`
-        workers.  See ``docs/backends.md`` for per-backend precision
-        and determinism guarantees.
     """
+
+    #: the engine the batched passes run on: the serial NumPy engine is
+    #: the only one, named here for host fingerprints
+    backend = _Engine("numpy")
 
     def __init__(
         self,
@@ -183,7 +178,6 @@ class TreeEvaluator(FieldEvaluator):
         mac_variant: MACVariant = "bh",
         cache: Optional[TreeStateCache] = None,
         batch_budget_bytes: Optional[int] = None,
-        backend: "KernelBackend | str | None" = None,
     ) -> None:
         super().__init__()
         self.kernel = get_kernel(kernel) if isinstance(kernel, str) else kernel
@@ -203,14 +197,6 @@ class TreeEvaluator(FieldEvaluator):
         self.mac_variant: MACVariant = mac_variant
         self.cache = cache if cache is not None else TreeStateCache()
         self.batch_budget_bytes = batch_budget_bytes
-        self.backend = get_backend(backend)
-        if self.backend.device == "gpu" and not self.kernel.xp_generic:
-            raise ValueError(
-                f"kernel {self.kernel.name!r} is not array-namespace "
-                f"generic and cannot run on backend "
-                f"{self.backend.name!r}; use an algebraic or singular "
-                "kernel, or a CPU backend"
-            )
         self.phases = TimingRegistry()
         self.last_stats = TreeStats()
         self._exclude_zero = (
@@ -241,7 +227,6 @@ class TreeEvaluator(FieldEvaluator):
             mac_variant=self.mac_variant if mac_variant is None else mac_variant,
             cache=self.cache,
             batch_budget_bytes=self.batch_budget_bytes,
-            backend=self.backend,
         )
 
     @boundary("tree_evaluate", arrays=[
@@ -282,7 +267,6 @@ class TreeEvaluator(FieldEvaluator):
                 tree, charges[tree.order], layout, self.kernel, self.sigma,
                 gradient, self._exclude_zero, vel, grad,
                 budget_bytes=self.batch_budget_bytes,
-                backend=self.backend,
             )
 
         self.last_stats = _make_stats(
@@ -303,11 +287,7 @@ class TreeCoulombSolver:
 
     Mirrors PEPC's original Coulomb/gravity mode; used by the Fig. 5-style
     scaling benchmark ("homogeneous neutral Coulomb system").  Runs on the
-    same batched engine and state cache as :class:`TreeEvaluator`, and
-    accepts the same ``backend`` selector — the scalar-charge pair
-    streams are chunked over disjoint slot ranges, so the ``threaded``
-    backend runs them concurrently and bitwise-identically (device
-    backends keep these streams on the host; see ``docs/backends.md``).
+    same batched engine and state cache as :class:`TreeEvaluator`.
     """
 
     def __init__(
@@ -319,7 +299,6 @@ class TreeCoulombSolver:
         mac_variant: MACVariant = "bh",
         cache: Optional[TreeStateCache] = None,
         batch_budget_bytes: Optional[int] = None,
-        backend: "KernelBackend | str | None" = None,
     ) -> None:
         self.kernel = SingularKernel(softening=softening)
         self.theta = float(theta)
@@ -328,7 +307,6 @@ class TreeCoulombSolver:
         self.mac_variant: MACVariant = mac_variant
         self.cache = cache if cache is not None else TreeStateCache()
         self.batch_budget_bytes = batch_budget_bytes
-        self.backend = get_backend(backend)
         self.phases = TimingRegistry()
         self.last_stats = TreeStats()
         # unsoftened coincident pairs diverge and are excluded, exactly as
@@ -367,14 +345,12 @@ class TreeCoulombSolver:
             batched_far_coulomb(
                 tree, moments, layout, self.kernel, 1.0, self.order,
                 phi, field, budget_bytes=self.batch_budget_bytes,
-                backend=self.backend,
             )
         with self.phases.phase("near_field"):
             batched_near_coulomb(
                 tree, charges[tree.order], layout, self.kernel, 1.0,
                 self._exclude_zero, phi, field,
                 budget_bytes=self.batch_budget_bytes,
-                backend=self.backend,
             )
 
         self.last_stats = _make_stats(

@@ -96,13 +96,6 @@ def monomial_rows(rt: np.ndarray, n_mono: int, out: np.ndarray) -> None:
     ``rt`` is (3, P) — coordinate rows.  Same incremental recurrence as
     :func:`monomial_basis`, but row-major so every multiply runs over a
     contiguous lane vector (the layout the batched far driver wants).
-
-    Array-namespace generic: the recurrence is one ``np.multiply`` with
-    an explicit ``out=`` per monomial, which dispatches through
-    ``__array_ufunc__`` — pass device-resident ``rt``/``out`` (e.g.
-    CuPy, :mod:`repro.backends`) and the table is built on the device.
-    (:func:`monomial_basis` is *not* generic: it allocates its result
-    through ``np.empty`` and therefore stays on the host.)
     """
     out[0] = 1.0
     for i in range(1, n_mono):

@@ -420,7 +420,6 @@ class SpaceParallelTreeEvaluator(TreeEvaluator):
                 tree, charges_sorted, layout, self.kernel, self.sigma,
                 gradient, self._exclude_zero, vel, grad,
                 budget_bytes=self.batch_budget_bytes,
-                backend=self.backend,
             )
         self.last_stats = _make_stats(
             tree, sub, build_cached, moments_cached, traversal_cached

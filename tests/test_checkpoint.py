@@ -264,6 +264,14 @@ class TestResumeValidation:
                 p_time=2, resume_from=path,
             )
 
+    def test_p_nodes_mismatch_rejected(self, linear_problem, u0, tmp_path):
+        path = tmp_path / "run.ckpt"
+        run_pfasst(_config(), _specs(linear_problem), u0, p_time=2,
+                   p_nodes=2, checkpoint=path)
+        with pytest.raises(ValueError, match="p_nodes"):
+            run_pfasst(_config(), _specs(linear_problem), u0, p_time=2,
+                       p_nodes=1, resume_from=path)
+
     def test_certify_with_resume_not_implemented(
         self, linear_problem, u0, tmp_path
     ):

@@ -8,19 +8,11 @@ The batched engine (``repro.tree.engine``) must reproduce
   to summation-reordering accuracy: both walk the *same* interaction
   lists and evaluate the *same* expansion formulas, so any discrepancy
   beyond float addition order is an engine indexing bug.
-
-The direct-comparison grids run once per *usable* kernel backend
-(``repro.backends.usable_backends``): CPU backends must hold the exact
-same tolerances as the serial NumPy reference, because their batch
-decomposition is write-disjoint and each batch is evaluated with the
-identical serial arithmetic.  Backends whose optional dependency is
-missing (e.g. CuPy without a GPU) simply do not appear in the grid.
 """
 
 import numpy as np
 import pytest
 
-from repro.backends import usable_backends
 from repro.nbody import coulomb_direct
 from repro.tree import TreeCoulombSolver, TreeEvaluator
 from repro.tree.reference import (
@@ -31,9 +23,6 @@ from repro.vortex import DirectEvaluator, get_kernel, spherical_vortex_sheet
 from repro.vortex.sheet import SheetConfig
 
 THETA_TOL = {0.0: 1e-12, 0.3: 2e-3, 0.6: 2e-2}
-
-#: every backend whose dependencies are importable on this machine
-BACKENDS = list(usable_backends())
 
 
 @pytest.fixture(scope="module")
@@ -50,14 +39,12 @@ def _rel_err(a, b):
 
 
 class TestVortexAgainstDirect:
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("theta", [0.0, 0.3, 0.6])
     @pytest.mark.parametrize("variant", ["bh", "bmax"])
-    def test_velocity_within_theta_tolerance(self, sheet, theta, variant,
-                                             backend):
+    def test_velocity_within_theta_tolerance(self, sheet, theta, variant):
         ps, cfg, kernel, ref = sheet
         ev = TreeEvaluator(kernel, cfg.sigma, theta=theta, leaf_size=24,
-                           mac_variant=variant, backend=backend)
+                           mac_variant=variant)
         out = ev.field(ps.positions, ps.charges)
         if theta == 0.0:
             assert np.allclose(out.velocity, ref.velocity,
@@ -128,14 +115,13 @@ class TestVortexAgainstReference:
 
 
 class TestCoulombEquivalence:
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("theta", [0.0, 0.3, 0.6])
-    def test_against_direct(self, rng, theta, backend):
+    def test_against_direct(self, rng, theta):
         pos = rng.normal(size=(400, 3))
         q = rng.normal(size=400)
         phi_ref, e_ref = coulomb_direct(pos, pos, q)
-        phi, e = TreeCoulombSolver(theta=theta, leaf_size=24,
-                                   backend=backend).compute(pos, q)
+        phi, e = TreeCoulombSolver(theta=theta,
+                                   leaf_size=24).compute(pos, q)
         if theta == 0.0:
             assert np.allclose(phi, phi_ref, atol=1e-12)
             assert np.allclose(e, e_ref, atol=1e-12)

@@ -1,5 +1,7 @@
 """Tests for the full Barnes-Hut evaluators against direct summation."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -123,6 +125,19 @@ class TestValidation:
         assert s.n_nodes > 0
         assert s.interactions_per_particle > 0
         assert ev.phases.elapsed("traverse") > 0
+
+
+class TestPickling:
+    def test_evaluator_roundtrips(self):
+        """ProcessExecutor ships evaluators to its workers by pickle: a
+        round-tripped evaluator must evaluate bitwise-equal."""
+        cfg = SheetConfig(n=600)
+        ps = spherical_vortex_sheet(cfg)
+        ev = TreeEvaluator(get_kernel("algebraic6"), cfg.sigma, theta=0.6)
+        ref = ev.field(ps.positions, ps.charges)
+        clone = pickle.loads(pickle.dumps(ev))
+        out = clone.field(ps.positions, ps.charges)
+        assert (out.velocity == ref.velocity).all()
 
 
 class TestCoulombTree:
