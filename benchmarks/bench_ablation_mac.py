@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from common import format_table, sheet_problem
+from repro.obs import MetricsRegistry, use_metrics
 from repro.tree import TreeEvaluator
 from repro.vortex import DirectEvaluator, get_kernel
 
@@ -35,17 +36,18 @@ def run_experiment(n: int = N_CI, sigma_over_h: float = 3.0) -> List[Dict]:
         for theta in THETAS:
             ev = TreeEvaluator(kernel, cfg.sigma, theta=theta,
                                leaf_size=48, mac_variant=variant)
-            out = ev.field(positions, charges)
+            with use_metrics(MetricsRegistry()) as metrics:
+                out = ev.field(positions, charges)
             err = np.max(np.abs(out.velocity - ref.velocity)) / np.max(
                 np.abs(ref.velocity)
             )
-            stats = ev.last_stats
+            per_particle = metrics.histogram(
+                "tree.interactions_per_particle").total
             rows.append({
                 "variant": variant,
                 "theta": theta,
                 "rel_error": float(err),
-                "interactions": stats.far_interactions
-                + stats.near_interactions,
+                "interactions": round(per_particle * len(positions)),
                 "seconds": ev.mean_cost,
             })
     return rows

@@ -12,15 +12,17 @@ PFASST coarsening) at N in {2048, 8192, 32768}:
 * **batched warm**: the fine evaluation repeated at the identical state —
   every pipeline stage is a cache hit, only the far/near summation runs.
 
-Also reports the per-phase breakdown (tree_build / moments / traverse /
-layout / far_field / near_field) and the cache counters, and writes
+Also reports the per-phase breakdown of one cold fine evaluation
+(tree_build / moments / traverse / layout / far_field / near_field, read
+from the tracer's phase spans) and the ``tree.cache.*`` counters of that
+evaluation plus one warm repeat (read from a metrics registry), and writes
 everything to ``BENCH_evaluator.json`` at the repository root.
 
 The hot path carries observability hooks (:mod:`repro.obs`): every row
 additionally times a warm evaluation with an *active* tracer and metrics
 registry and reports the relative overhead (``tracer_on_overhead_pct``,
-expected single-digit percent; with the default null tracer the hooks
-reduce to one attribute check per phase).  Pass ``--traced`` to also
+expected single-digit percent; with the default null tracer each hook
+is a shared no-op span).  Pass ``--traced`` to also
 write ``BENCH_evaluator_trace.json`` — the wall-clock phase spans of one
 traced evaluation, viewable with ``repro-trace summarize``.
 
@@ -110,11 +112,20 @@ def bench_size(n: int, repeats: int = 3) -> Dict:
         traced_warm_s = _best_of(lambda: fine.field(pos, ch), repeats)
 
     fine.cache.clear()
-    fine.phases.reset()
-    t0 = time.perf_counter()
-    fine.field(pos, ch)
-    cold_fine_s = time.perf_counter() - t0
-    phases = {k: round(v, 6) for k, v in fine.phases.as_dict().items()}
+    tracer, metrics = Tracer(), MetricsRegistry()
+    with use_metrics(metrics):
+        with use_tracer(tracer):
+            t0 = time.perf_counter()
+            fine.field(pos, ch)
+            cold_fine_s = time.perf_counter() - t0
+        fine.field(pos, ch)  # warm repeat: every stage a cache hit
+    phases = {s.name: round(s.t1 - s.t0, 6) for s in tracer.spans}
+    counters = metrics.as_dict()["counters"]
+    lookups = {
+        f"{stage}_{kind}": counters.get(f"tree.cache.{stage}.{kind}", 0)
+        for stage in ("build", "moment", "traversal")
+        for kind in ("hits", "misses")
+    }
 
     return {
         "n": n,
@@ -128,7 +139,7 @@ def bench_size(n: int, repeats: int = 3) -> Dict:
             (traced_warm_s / warm_fine_s - 1.0) * 100.0, 2),
         "cache_hit_speedup": round(cold_fine_s / warm_fine_s, 3),
         "phases_cold_fine": phases,
-        "cache_stats": fine.cache_stats.as_dict(),
+        "cache_stats": lookups,
     }
 
 

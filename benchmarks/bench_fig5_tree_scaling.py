@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 
 from common import format_table
+from repro.obs import MetricsRegistry, use_metrics
 from repro.perfmodel import JUGENE, PepcScalingModel, calibrate_interactions
 from repro.tree import TreeCoulombSolver
 from repro.tree.domain import branch_counts, sfc_partition
@@ -50,8 +51,10 @@ def calibrate_model(
     for n in sizes:
         pos, q = neutral_coulomb_cloud(n)
         solver = TreeCoulombSolver(theta=theta, leaf_size=48)
-        solver.compute(pos, q)
-        interactions[n] = solver.last_stats.interactions_per_particle
+        with use_metrics(MetricsRegistry()) as metrics:
+            solver.compute(pos, q)
+        interactions[n] = metrics.histogram(
+            "tree.interactions_per_particle").mean
     ipp_a, ipp_b = calibrate_interactions(interactions)
 
     # branch counts per rank at a few decompositions -> log-law fit
@@ -127,8 +130,9 @@ def test_calibration_reflects_measured_interactions(calibrated):
     model, _ = calibrated
     pos, q = neutral_coulomb_cloud(4000)
     solver = TreeCoulombSolver(theta=0.6, leaf_size=48)
-    solver.compute(pos, q)
-    measured = solver.last_stats.interactions_per_particle
+    with use_metrics(MetricsRegistry()) as metrics:
+        solver.compute(pos, q)
+    measured = metrics.histogram("tree.interactions_per_particle").mean
     predicted = model.interactions_per_particle(4000)
     assert 0.3 * measured < predicted < 3.0 * measured
 

@@ -20,6 +20,7 @@ from typing import Dict, List
 import pytest
 
 from common import format_table, sheet_problem
+from repro.obs import MetricsRegistry, use_metrics
 from repro.pfasst import alpha_from_measurements
 
 CI_SIZES = {"small": 1000, "large": 4000}
@@ -35,14 +36,15 @@ def measure_ratio(n: int, repeats: int = 3, sigma_over_h: float = 3.0) -> Dict[s
         problem, u0, _ = sheet_problem(
             n, evaluator="tree", theta=theta, sigma_over_h=sigma_over_h
         )
-        problem.rhs(0.0, u0)  # warm-up outside the timer
+        with use_metrics(MetricsRegistry()) as metrics:
+            problem.rhs(0.0, u0)  # warm-up outside the timer, counted
         problem.evaluator.reset_stats()
         for _ in range(repeats):
             problem.rhs(0.0, u0)
         out[label] = problem.evaluator.mean_cost
-        out[f"{label}_interactions"] = (
-            problem.evaluator.last_stats.far_interactions
-            + problem.evaluator.last_stats.near_interactions
+        out[f"{label}_interactions"] = round(
+            metrics.histogram("tree.interactions_per_particle").total
+            * len(problem.volumes)
         )
     out["ratio"] = out["fine"] / out["coarse"]
     out["work_ratio"] = (

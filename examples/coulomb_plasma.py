@@ -13,6 +13,7 @@ import numpy as np
 
 from repro import TreeCoulombSolver
 from repro.nbody import coulomb_direct
+from repro.obs import MetricsRegistry, use_metrics
 from repro.tree.domain import branch_counts, sfc_partition
 
 N = 3000
@@ -33,11 +34,13 @@ def main() -> None:
           f"{'interactions/particle':>22}")
     for theta in (0.3, 0.6, 1.0):
         solver = TreeCoulombSolver(theta=theta, leaf_size=48)
-        phi, e = solver.compute(positions, charges)
+        with use_metrics(MetricsRegistry()) as metrics:
+            phi, e = solver.compute(positions, charges)
+        per_particle = metrics.histogram("tree.interactions_per_particle")
         err_phi = np.max(np.abs(phi - phi_ref)) / np.max(np.abs(phi_ref))
         err_e = np.max(np.abs(e - e_ref)) / np.max(np.abs(e_ref))
         print(f"{theta:>6.1f} {err_phi:>12.2e} {err_e:>10.2e} "
-              f"{solver.last_stats.interactions_per_particle:>22.0f}")
+              f"{per_particle.mean:>22.0f}")
 
     # the parallel decomposition a P_S-rank run would use (paper Fig. 3)
     print("\nSFC domain decomposition (what each PEPC rank would own):")

@@ -13,6 +13,7 @@ Run:  python examples/gravity_cluster.py
 import numpy as np
 
 from repro.nbody import gravity_direct
+from repro.obs import MetricsRegistry, use_metrics
 from repro.tree import TreeCoulombSolver
 
 N = 1500
@@ -72,17 +73,19 @@ def main() -> None:
     dt, steps = 0.05, 40
     acc, _ = tree_acceleration(solver, pos, masses)
     e0 = ke + pe
-    for k in range(steps):
-        vel = vel + 0.5 * dt * acc
-        pos = pos + dt * vel
-        acc, _ = tree_acceleration(solver, pos, masses)
-        vel = vel + 0.5 * dt * acc
+    with use_metrics(MetricsRegistry()) as metrics:
+        for k in range(steps):
+            vel = vel + 0.5 * dt * acc
+            pos = pos + dt * vel
+            acc, _ = tree_acceleration(solver, pos, masses)
+            vel = vel + 0.5 * dt * acc
     ke, pe = energies(pos, vel)
     e1 = ke + pe
     print(f"after t={dt * steps}: KE={ke:.4f} PE={pe:.4f} "
           f"energy drift {(e1 - e0) / abs(e0):.2e}")
-    print(f"tree stats: {solver.last_stats.interactions_per_particle:.0f} "
-          "interactions/particle")
+    per_particle = metrics.histogram("tree.interactions_per_particle")
+    print(f"tree stats: {per_particle.mean:.0f} interactions/particle "
+          f"(mean over {per_particle.count} force evaluations)")
 
 
 if __name__ == "__main__":

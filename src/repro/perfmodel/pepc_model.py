@@ -130,7 +130,8 @@ def calibrate_interactions(
     """Fit ``I(N) = a + b log2 N`` from measured interactions-per-particle.
 
     ``measurements`` maps particle counts to measured interactions per
-    particle (from :class:`~repro.tree.evaluator.TreeStats`).
+    particle (the ``tree.interactions_per_particle`` histogram of a
+    :class:`~repro.obs.metrics.MetricsRegistry` around the evaluations).
     """
     if len(measurements) < 2:
         raise ValueError("need at least two (N, I) measurements to fit")

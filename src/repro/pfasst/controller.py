@@ -176,10 +176,6 @@ class PfasstResult:
     iterations_done: List[int] = field(default_factory=list)
     #: annotated schedule events when ``config.trace`` was set
     trace: List[Any] = field(default_factory=list)
-    #: per-level evaluator bookkeeping (RHS calls, tree-cache hit/miss
-    #: counters) sampled from the level specs after the run; empty dicts
-    #: for problems without an instrumented evaluator
-    evaluator_stats: List[Dict[str, int]] = field(default_factory=list)
     #: V-cycle iterations *attempted* per block, including iterations
     #: discarded by a restart — ``total_iterations[b] -
     #: iterations_done[b]`` is the algorithmic recovery overhead
@@ -1106,29 +1102,6 @@ def _run_config_digest(
     ).hexdigest()
 
 
-def _collect_evaluator_stats(
-    specs: Sequence[LevelSpec],
-) -> List[Dict[str, int]]:
-    """RHS-call counts and tree-cache counters per level spec.
-
-    Note that ``run_pfasst`` instantiates one :class:`Level` hierarchy per
-    rank program around the *shared* spec problems, so the counters
-    aggregate over all ranks — which is exactly the total-work view the
-    benchmarks need.
-    """
-    out: List[Dict[str, int]] = []
-    for spec in specs:
-        entry: Dict[str, int] = {}
-        evaluator = getattr(spec.problem, "evaluator", None)
-        if evaluator is not None:
-            entry["calls"] = int(getattr(evaluator, "calls", 0))
-            cache_stats = getattr(evaluator, "cache_stats", None)
-            if cache_stats is not None:
-                entry.update(cache_stats.as_dict())
-        out.append(entry)
-    return out
-
-
 def run_pfasst(
     config: PfasstConfig,
     specs: Sequence[LevelSpec],
@@ -1232,11 +1205,7 @@ def run_pfasst(
     evaluations of one scheduling round run concurrently on real cores;
     the numerics, message stream and (``measure_compute=False``) virtual
     clocks are byte-identical to :class:`~repro.parallel.executor.
-    SerialExecutor` and to ``executor=None``.  One caveat:
-    ``evaluator_stats`` counts RHS calls in the *driver* process, so
-    under a process backend the dispatched calls land in the workers and
-    the driver-side counters read near zero — use the scheduler metrics
-    (``executor.dispatches{...}``) for call accounting instead.
+    SerialExecutor` and to ``executor=None``.
 
     ``certify=True`` turns on the scheduler's vector-clock instrumentation
     (:mod:`repro.analysis.commgraph`): every message carries the sender's
@@ -1313,7 +1282,6 @@ def run_pfasst(
         clocks=list(scheduler.clocks),
         iterations_done=by_rank[0]["iterations_done"],
         trace=list(scheduler.trace),
-        evaluator_stats=_collect_evaluator_stats(specs),
         total_iterations=by_rank[0]["total_iterations"],
         recoveries=by_rank[0]["recoveries"],
         resilience=scheduler.resilience,

@@ -32,19 +32,14 @@ from repro.tree.evaluate import (
     evaluate_vortex_far_pairs,
     evaluate_coulomb_far_pairs,
 )
-from repro.tree.state import (
-    CacheStats,
-    TreeState,
-    TreeStateCache,
-    array_fingerprint,
-)
+from repro.tree.state import TreeState, TreeStateCache, array_fingerprint
 from repro.tree.engine import (
     SegmentLayout,
     TraversalLayout,
     build_traversal_layout,
     segment_layout,
 )
-from repro.tree.evaluator import TreeStats, TreeEvaluator, TreeCoulombSolver
+from repro.tree.evaluator import TreeEvaluator, TreeCoulombSolver
 from repro.tree.multirate import MultirateTreeEvaluator
 from repro.tree.domain import (
     DomainDecomposition,
@@ -83,7 +78,6 @@ __all__ = [
     "evaluate_coulomb_far",
     "evaluate_vortex_far_pairs",
     "evaluate_coulomb_far_pairs",
-    "CacheStats",
     "TreeState",
     "TreeStateCache",
     "array_fingerprint",
@@ -91,7 +85,6 @@ __all__ = [
     "TraversalLayout",
     "build_traversal_layout",
     "segment_layout",
-    "TreeStats",
     "TreeEvaluator",
     "TreeCoulombSolver",
     "MultirateTreeEvaluator",

@@ -30,7 +30,6 @@ counterpart, mirroring PEPC's multi-purpose design.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -46,87 +45,45 @@ from repro.tree.engine import (
     build_traversal_layout,
 )
 from repro.obs.metrics import get_metrics
-from repro.obs.timing import TimingRegistry
+from repro.obs.tracer import get_tracer
 from repro.tree.mac import MACVariant
 from repro.tree.profiles import supports_multipoles
-from repro.tree.state import CacheStats, TreeState, TreeStateCache
+from repro.tree.state import TreeState, TreeStateCache
 from repro.tree.traversal import InteractionLists
 from repro.utils.validation import check_positive
 from repro.vortex.kernels import SingularKernel, SmoothingKernel, get_kernel
 from repro.vortex.problem import FieldEvaluator
 from repro.vortex.rhs import VelocityField
 
-__all__ = ["TreeStats", "TreeEvaluator", "TreeCoulombSolver"]
+__all__ = ["TreeEvaluator", "TreeCoulombSolver"]
 
 
-@dataclass
-class TreeStats:
-    """Work statistics of the most recent tree evaluation."""
-
-    n_particles: int = 0
-    n_nodes: int = 0
-    n_groups: int = 0
-    mac_tests: int = 0
-    far_pairs: int = 0
-    near_pairs: int = 0
-    far_interactions: int = 0
-    near_interactions: int = 0
-    #: which pipeline stages were served from the state cache
-    build_cached: bool = False
-    moments_cached: bool = False
-    traversal_cached: bool = False
-
-    @property
-    def interactions_per_particle(self) -> float:
-        if self.n_particles == 0:
-            return 0.0
-        return (self.far_interactions + self.near_interactions) / self.n_particles
-
-
-def _make_stats(
-    tree: Octree,
-    lists: InteractionLists,
-    build_cached: bool,
-    moments_cached: bool,
-    traversal_cached: bool,
-) -> TreeStats:
-    stats = TreeStats(
-        n_particles=tree.n_particles,
-        n_nodes=tree.n_nodes,
-        n_groups=lists.n_groups,
-        mac_tests=lists.mac_tests,
-        far_pairs=int(lists.far_group.size),
-        near_pairs=int(lists.near_group.size),
-        far_interactions=lists.far_interaction_count(tree),
-        near_interactions=lists.near_interaction_count(tree),
-        build_cached=build_cached,
-        moments_cached=moments_cached,
-        traversal_cached=traversal_cached,
-    )
+def _record_counts(tree: Octree, lists: InteractionLists) -> None:
+    """Count one evaluation's tree work into the active metrics registry."""
     m = get_metrics()
-    if m.enabled:
-        m.counter("tree.evaluations").inc()
-        m.counter("tree.mac_tests").inc(stats.mac_tests)
-        m.counter("tree.far_pairs").inc(stats.far_pairs)
-        m.counter("tree.near_pairs").inc(stats.near_pairs)
-        m.histogram("tree.interactions_per_particle").observe(
-            stats.interactions_per_particle
-        )
-    return stats
+    if not m.enabled:
+        return
+    m.counter("tree.evaluations").inc()
+    m.counter("tree.mac_tests").inc(lists.mac_tests)
+    m.counter("tree.far_pairs").inc(int(lists.far_group.size))
+    m.counter("tree.near_pairs").inc(int(lists.near_group.size))
+    n = tree.n_particles
+    interactions = (
+        lists.far_interaction_count(tree) + lists.near_interaction_count(tree)
+    )
+    m.histogram("tree.interactions_per_particle").observe(
+        interactions / n if n else 0.0
+    )
 
 
 def _engine_layout(
-    state: TreeState,
-    lists: InteractionLists,
-    theta: float,
-    variant: str,
-    phases: TimingRegistry,
+    state: TreeState, lists: InteractionLists, theta: float, variant: str
 ) -> TraversalLayout:
     """Per-traversal engine layout, cached on the state object."""
     key = (float(theta), str(variant))
     layout = state.engine_layouts.get(key)
     if layout is None:
-        with phases.phase("layout"):
+        with get_tracer().span("layout", cat="phase"):
             layout = build_traversal_layout(state.tree, lists)
         state.engine_layouts[key] = layout
     return layout
@@ -197,17 +154,10 @@ class TreeEvaluator(FieldEvaluator):
         self.mac_variant: MACVariant = mac_variant
         self.cache = cache if cache is not None else TreeStateCache()
         self.batch_budget_bytes = batch_budget_bytes
-        self.phases = TimingRegistry()
-        self.last_stats = TreeStats()
         self._exclude_zero = (
             isinstance(self.kernel, SingularKernel)
             and self.kernel.softening == 0.0
         )
-
-    @property
-    def cache_stats(self) -> CacheStats:
-        """Hit/miss counters of the underlying state cache."""
-        return self.cache.stats
 
     def coarsened(
         self, theta: float, mac_variant: Optional[MACVariant] = None
@@ -239,39 +189,32 @@ class TreeEvaluator(FieldEvaluator):
         gradient: bool,
         include_far: bool = True,
     ) -> VelocityField:
-        state, build_cached = self.cache.state(
-            positions, self.leaf_size, self.phases
-        )
+        state = self.cache.state(positions, self.leaf_size)
         tree = state.tree
-        moments, moments_cached = state.vortex_moments(charges, self.phases)
-        lists, traversal_cached = state.traversal(
-            self.theta, self.mac_variant, moments.bmax, self.phases
-        )
-        layout = _engine_layout(
-            state, lists, self.theta, self.mac_variant, self.phases
-        )
+        moments = state.vortex_moments(charges)
+        lists = state.traversal(self.theta, self.mac_variant, moments.bmax)
+        layout = _engine_layout(state, lists, self.theta, self.mac_variant)
 
         n = positions.shape[0]
         vel = np.zeros((n, 3))
         grad = np.zeros((n, 3, 3)) if gradient else None
 
+        tracer = get_tracer()
         if include_far:
-            with self.phases.phase("far_field"):
+            with tracer.span("far_field", cat="phase"):
                 batched_far_vortex(
                     tree, moments, layout, self.kernel, self.sigma,
                     self.order, gradient, vel, grad,
                     budget_bytes=self.batch_budget_bytes,
                 )
-        with self.phases.phase("near_field"):
+        with tracer.span("near_field", cat="phase"):
             batched_near_vortex(
                 tree, charges[tree.order], layout, self.kernel, self.sigma,
                 gradient, self._exclude_zero, vel, grad,
                 budget_bytes=self.batch_budget_bytes,
             )
 
-        self.last_stats = _make_stats(
-            tree, lists, build_cached, moments_cached, traversal_cached
-        )
+        _record_counts(tree, lists)
         # scatter from Morton order back to caller order
         out_v = np.empty_like(vel)
         out_v[tree.order] = vel
@@ -307,16 +250,9 @@ class TreeCoulombSolver:
         self.mac_variant: MACVariant = mac_variant
         self.cache = cache if cache is not None else TreeStateCache()
         self.batch_budget_bytes = batch_budget_bytes
-        self.phases = TimingRegistry()
-        self.last_stats = TreeStats()
         # unsoftened coincident pairs diverge and are excluded, exactly as
         # in the direct reference; softened ones contribute 1/(4 pi eps)
         self._exclude_zero = self.kernel.softening == 0.0
-
-    @property
-    def cache_stats(self) -> CacheStats:
-        """Hit/miss counters of the underlying state cache."""
-        return self.cache.stats
 
     @boundary("tree_coulomb", arrays=[
         ("positions", (None, 3)), ("charges", (None,)),
@@ -325,37 +261,30 @@ class TreeCoulombSolver:
         self, positions: np.ndarray, charges: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Return ``(potential, field)`` at every particle position."""
-        state, build_cached = self.cache.state(
-            positions, self.leaf_size, self.phases
-        )
+        state = self.cache.state(positions, self.leaf_size)
         tree = state.tree
-        moments, moments_cached = state.coulomb_moments(charges, self.phases)
-        lists, traversal_cached = state.traversal(
-            self.theta, self.mac_variant, moments.bmax, self.phases
-        )
-        layout = _engine_layout(
-            state, lists, self.theta, self.mac_variant, self.phases
-        )
+        moments = state.coulomb_moments(charges)
+        lists = state.traversal(self.theta, self.mac_variant, moments.bmax)
+        layout = _engine_layout(state, lists, self.theta, self.mac_variant)
 
         n = positions.shape[0]
         phi = np.zeros(n)
         field = np.zeros((n, 3))
 
-        with self.phases.phase("far_field"):
+        tracer = get_tracer()
+        with tracer.span("far_field", cat="phase"):
             batched_far_coulomb(
                 tree, moments, layout, self.kernel, 1.0, self.order,
                 phi, field, budget_bytes=self.batch_budget_bytes,
             )
-        with self.phases.phase("near_field"):
+        with tracer.span("near_field", cat="phase"):
             batched_near_coulomb(
                 tree, charges[tree.order], layout, self.kernel, 1.0,
                 self._exclude_zero, phi, field,
                 budget_bytes=self.batch_budget_bytes,
             )
 
-        self.last_stats = _make_stats(
-            tree, lists, build_cached, moments_cached, traversal_cached
-        )
+        _record_counts(tree, lists)
         out_phi = np.empty_like(phi)
         out_phi[tree.order] = phi
         out_field = np.empty_like(field)

@@ -60,6 +60,7 @@ from typing import Any, Dict, Generator, List, Optional, Tuple
 
 import numpy as np
 
+from repro.obs.tracer import get_tracer
 from repro.parallel import tags
 from repro.parallel.collectives import allgather
 from repro.parallel.simmpi import VirtualComm
@@ -71,7 +72,7 @@ from repro.tree.engine import (
     build_traversal_layout,
     check_output_buffers,
 )
-from repro.tree.evaluator import TreeEvaluator, _make_stats
+from repro.tree.evaluator import TreeEvaluator, _record_counts
 from repro.tree.mac import MACVariant
 from repro.tree.morton import cell_of_key, morton_encode, quantize
 from repro.tree.multipole import VortexMoments, _segment_sum
@@ -367,7 +368,7 @@ class SpaceParallelTreeEvaluator(TreeEvaluator):
             return found
         mask = shard.group_mask(rank, lists.n_groups)
         sub = _sub_lists(lists, mask)
-        with self.phases.phase("layout"):
+        with get_tracer().span("layout", cat="phase"):
             layout = build_traversal_layout(state.tree, sub)
         found = (sub, layout)
         state.engine_layouts[key] = found
@@ -394,14 +395,10 @@ class SpaceParallelTreeEvaluator(TreeEvaluator):
         :meth:`field_program` call exactly this method, so their results
         are bitwise identical.
         """
-        state, build_cached = self.cache.state(
-            positions, self.leaf_size, self.phases
-        )
+        state = self.cache.state(positions, self.leaf_size)
         tree = state.tree
-        moments, moments_cached = state.vortex_moments(charges, self.phases)
-        lists, traversal_cached = state.traversal(
-            self.theta, self.mac_variant, moments.bmax, self.phases
-        )
+        moments = state.vortex_moments(charges)
+        lists = state.traversal(self.theta, self.mac_variant, moments.bmax)
         shard = compute_shard(state, p_space)
         charges_sorted = charges[tree.order]
         sub, layout = self._segment_layout(state, lists, shard, rank)
@@ -409,21 +406,20 @@ class SpaceParallelTreeEvaluator(TreeEvaluator):
         vel = np.zeros((n, 3))
         grad = np.zeros((n, 3, 3)) if gradient else None
         check_output_buffers(vel, grad, n, gradient)
-        with self.phases.phase("far_field"):
+        tracer = get_tracer()
+        with tracer.span("far_field", cat="phase"):
             batched_far_vortex(
                 tree, moments, layout, self.kernel, self.sigma,
                 self.order, gradient, vel, grad,
                 budget_bytes=self.batch_budget_bytes,
             )
-        with self.phases.phase("near_field"):
+        with tracer.span("near_field", cat="phase"):
             batched_near_vortex(
                 tree, charges_sorted, layout, self.kernel, self.sigma,
                 gradient, self._exclude_zero, vel, grad,
                 budget_bytes=self.batch_budget_bytes,
             )
-        self.last_stats = _make_stats(
-            tree, sub, build_cached, moments_cached, traversal_cached
-        )
+        _record_counts(tree, sub)
         p_lo = int(shard.bounds[rank])
         p_hi = int(shard.bounds[rank + 1])
         return (
@@ -463,9 +459,9 @@ class SpaceParallelTreeEvaluator(TreeEvaluator):
         # The branch exchange needs the tree and moments; the interaction
         # lists and segment layout are (re)derived inside segment_field —
         # a cache hit inline, a per-worker warm-up under a process backend.
-        state, _ = self.cache.state(positions, self.leaf_size, self.phases)
+        state = self.cache.state(positions, self.leaf_size)
         tree = state.tree
-        moments, _ = state.vortex_moments(charges, self.phases)
+        moments = state.vortex_moments(charges)
         shard = compute_shard(state, p_space)
         charges_sorted = charges[tree.order]
 

@@ -19,20 +19,18 @@ content fingerprint (BLAKE2 over the raw array bytes) of ``positions``
 plus the build parameters, so in-place mutation of a caller array simply
 produces a miss — there is no way to observe a stale tree.  Within a
 state, moments are keyed by the charge-array fingerprint and traversals by
-``(theta, mac_variant)``.  Hit/miss counters per stage are kept in
-:class:`CacheStats`; the evaluators surface per-call flags in
-``TreeStats`` and only time the ``tree_build`` / ``moments`` / ``traverse``
-phases on misses, so a :class:`~repro.obs.timing.TimingRegistry` report
-directly shows the work saved.  When a global metrics registry is active
-(:func:`repro.obs.use_metrics`), every hit/miss also increments a
-``tree.cache.<stage>.<hits|misses>`` counter there.
+``(theta, mac_variant)``.  When a global metrics registry is active
+(:func:`repro.obs.use_metrics`), every lookup increments a
+``tree.cache.<stage>.<hits|misses>`` counter there, and every miss runs
+its stage under a ``tree_build`` / ``moments`` / ``traverse`` phase span
+of the active tracer (:func:`repro.obs.use_tracer`) — so a trace shows
+directly which work the cache saved.
 """
 
 from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -45,10 +43,10 @@ from repro.tree.multipole import (
     compute_vortex_moments,
 )
 from repro.obs.metrics import get_metrics
-from repro.obs.timing import TimingRegistry
+from repro.obs.tracer import get_tracer
 from repro.tree.traversal import InteractionLists, dual_traversal
 
-__all__ = ["array_fingerprint", "CacheStats", "TreeState", "TreeStateCache"]
+__all__ = ["array_fingerprint", "TreeState", "TreeStateCache"]
 
 
 def array_fingerprint(array: np.ndarray) -> bytes:
@@ -61,37 +59,11 @@ def array_fingerprint(array: np.ndarray) -> bytes:
     return h.digest()
 
 
-@dataclass
-class CacheStats:
-    """Cumulative hit/miss counters, one pair per pipeline stage."""
-
-    build_hits: int = 0
-    build_misses: int = 0
-    moment_hits: int = 0
-    moment_misses: int = 0
-    traversal_hits: int = 0
-    traversal_misses: int = 0
-
-    def count(self, stage: str, hit: bool) -> None:
-        """Increment one stage's hit or miss counter (and the active
-        metrics registry's ``tree.cache.<stage>.<hits|misses>``)."""
-        attr = f"{stage}_{'hits' if hit else 'misses'}"
-        setattr(self, attr, getattr(self, attr) + 1)
-        m = get_metrics()
-        if m.enabled:
-            m.counter(
-                f"tree.cache.{stage}.{'hits' if hit else 'misses'}"
-            ).inc()
-
-    def as_dict(self) -> Dict[str, int]:
-        return {
-            "build_hits": self.build_hits,
-            "build_misses": self.build_misses,
-            "moment_hits": self.moment_hits,
-            "moment_misses": self.moment_misses,
-            "traversal_hits": self.traversal_hits,
-            "traversal_misses": self.traversal_misses,
-        }
+def _count(stage: str, hit: bool) -> None:
+    """Record one cache lookup in the active metrics registry."""
+    m = get_metrics()
+    if m.enabled:
+        m.counter(f"tree.cache.{stage}.{'hits' if hit else 'misses'}").inc()
 
 
 class TreeState:
@@ -103,9 +75,8 @@ class TreeState:
     :class:`TreeStateCache`; evaluators never build trees directly.
     """
 
-    def __init__(self, tree: Octree, stats: CacheStats) -> None:
+    def __init__(self, tree: Octree) -> None:
         self.tree = tree
-        self._stats = stats
         self._vortex_moments: "OrderedDict[bytes, VortexMoments]" = OrderedDict()
         self._coulomb_moments: "OrderedDict[bytes, CoulombMoments]" = OrderedDict()
         self._traversals: Dict[Tuple[float, str], InteractionLists] = {}
@@ -125,55 +96,39 @@ class TreeState:
             self._groups = self.tree.leaves()
         return self._groups
 
-    def vortex_moments(
-        self, charges: np.ndarray, phases: Optional[TimingRegistry] = None
-    ) -> Tuple[VortexMoments, bool]:
-        """Moments for vector charges; returns ``(moments, was_cached)``."""
+    def vortex_moments(self, charges: np.ndarray) -> VortexMoments:
+        """Moments for vector charges, cached per charge fingerprint."""
         key = array_fingerprint(charges)
         hit = self._vortex_moments.get(key)
+        _count("moment", hit is not None)
         if hit is not None:
-            self._stats.count("moment", hit=True)
             self._vortex_moments.move_to_end(key)
-            return hit, True
-        self._stats.count("moment", hit=False)
-        if phases is not None:
-            with phases.phase("moments"):
-                moments = compute_vortex_moments(self.tree, charges)
-        else:
+            return hit
+        with get_tracer().span("moments", cat="phase"):
             moments = compute_vortex_moments(self.tree, charges)
         self._vortex_moments[key] = moments
         while len(self._vortex_moments) > self._MOMENT_SLOTS:
             self._vortex_moments.popitem(last=False)
-        return moments, False
+        return moments
 
-    def coulomb_moments(
-        self, charges: np.ndarray, phases: Optional[TimingRegistry] = None
-    ) -> Tuple[CoulombMoments, bool]:
-        """Moments for scalar charges; returns ``(moments, was_cached)``."""
+    def coulomb_moments(self, charges: np.ndarray) -> CoulombMoments:
+        """Moments for scalar charges, cached per charge fingerprint."""
         key = array_fingerprint(charges)
         hit = self._coulomb_moments.get(key)
+        _count("moment", hit is not None)
         if hit is not None:
-            self._stats.count("moment", hit=True)
             self._coulomb_moments.move_to_end(key)
-            return hit, True
-        self._stats.count("moment", hit=False)
-        if phases is not None:
-            with phases.phase("moments"):
-                moments = compute_coulomb_moments(self.tree, charges)
-        else:
+            return hit
+        with get_tracer().span("moments", cat="phase"):
             moments = compute_coulomb_moments(self.tree, charges)
         self._coulomb_moments[key] = moments
         while len(self._coulomb_moments) > self._MOMENT_SLOTS:
             self._coulomb_moments.popitem(last=False)
-        return moments, False
+        return moments
 
     def traversal(
-        self,
-        theta: float,
-        variant: str,
-        node_bmax: np.ndarray,
-        phases: Optional[TimingRegistry] = None,
-    ) -> Tuple[InteractionLists, bool]:
+        self, theta: float, variant: str, node_bmax: np.ndarray
+    ) -> InteractionLists:
         """Interaction lists for ``(theta, variant)``; cached per state.
 
         ``node_bmax`` comes from the moment pass but is purely geometric
@@ -183,21 +138,15 @@ class TreeState:
         """
         key = (float(theta), str(variant))
         hit = self._traversals.get(key)
+        _count("traversal", hit is not None)
         if hit is not None:
-            self._stats.count("traversal", hit=True)
-            return hit, True
-        self._stats.count("traversal", hit=False)
-        if phases is not None:
-            with phases.phase("traverse"):
-                lists = dual_traversal(
-                    self.tree, theta, node_bmax=node_bmax, variant=variant
-                )
-        else:
+            return hit
+        with get_tracer().span("traverse", cat="phase"):
             lists = dual_traversal(
                 self.tree, theta, node_bmax=node_bmax, variant=variant
             )
         self._traversals[key] = lists
-        return lists, False
+        return lists
 
 
 class TreeStateCache:
@@ -213,7 +162,6 @@ class TreeStateCache:
         if maxsize < 1:
             raise ValueError(f"maxsize must be >= 1, got {maxsize}")
         self.maxsize = int(maxsize)
-        self.stats = CacheStats()
         self._states: "OrderedDict[Tuple[bytes, int], TreeState]" = OrderedDict()
 
     def __len__(self) -> int:
@@ -222,27 +170,18 @@ class TreeStateCache:
     def clear(self) -> None:
         self._states.clear()
 
-    def state(
-        self,
-        positions: np.ndarray,
-        leaf_size: int,
-        phases: Optional[TimingRegistry] = None,
-    ) -> Tuple[TreeState, bool]:
-        """Tree state for a particle configuration; ``(state, was_cached)``."""
+    def state(self, positions: np.ndarray, leaf_size: int) -> TreeState:
+        """Tree state for a particle configuration, built on a miss."""
         key = (array_fingerprint(positions), int(leaf_size))
         hit = self._states.get(key)
+        _count("build", hit is not None)
         if hit is not None:
-            self.stats.count("build", hit=True)
             self._states.move_to_end(key)
-            return hit, True
-        self.stats.count("build", hit=False)
-        if phases is not None:
-            with phases.phase("tree_build"):
-                tree = build_octree(positions, leaf_size=leaf_size)
-        else:
+            return hit
+        with get_tracer().span("tree_build", cat="phase"):
             tree = build_octree(positions, leaf_size=leaf_size)
-        state = TreeState(tree, self.stats)
+        state = TreeState(tree)
         self._states[key] = state
         while len(self._states) > self.maxsize:
             self._states.popitem(last=False)
-        return state, False
+        return state

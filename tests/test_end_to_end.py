@@ -120,12 +120,19 @@ class TestFullStack:
 
     def test_coulomb_and_vortex_trees_share_structure(self, setup, rng):
         """One particle set, both interaction types, same tree shape."""
-        from repro.tree import TreeCoulombSolver, build_octree
+        from repro.obs import MetricsRegistry, use_metrics
+        from repro.tree import TreeCoulombSolver
 
         ps, cfg, kernel = setup
         vortex = TreeEvaluator(kernel, cfg.sigma, theta=0.5, leaf_size=32)
-        vortex.field(ps.positions, ps.charges)
+        with use_metrics(MetricsRegistry()) as vm:
+            vortex.field(ps.positions, ps.charges)
         coulomb = TreeCoulombSolver(theta=0.5, leaf_size=32)
-        coulomb.compute(ps.positions, rng.normal(size=ps.n))
-        assert vortex.last_stats.n_nodes == coulomb.last_stats.n_nodes
-        assert vortex.last_stats.n_groups == coulomb.last_stats.n_groups
+        with use_metrics(MetricsRegistry()) as cm:
+            coulomb.compute(ps.positions, rng.normal(size=ps.n))
+        # same tree and theta: the same interaction lists
+        assert vm.as_dict()["counters"] == cm.as_dict()["counters"]
+        v_state = vortex.cache.state(ps.positions, 32)
+        c_state = coulomb.cache.state(ps.positions, 32)
+        assert v_state.tree.n_nodes == c_state.tree.n_nodes
+        assert v_state.groups.size == c_state.groups.size

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.nbody import coulomb_direct
+from repro.obs import MetricsRegistry, use_metrics
 from repro.tree import TreeCoulombSolver, TreeEvaluator
 from repro.tree.reference import (
     reference_coulomb_fields,
@@ -107,11 +108,12 @@ class TestVortexAgainstReference:
         ch = rng.normal(size=(10, 3))
         kernel = get_kernel("algebraic6")
         ev = TreeEvaluator(kernel, 0.5, theta=0.3, leaf_size=24)
-        out = ev.field(pos, ch)
+        with use_metrics(MetricsRegistry()) as m:
+            out = ev.field(pos, ch)
         ref = reference_vortex_field(pos, ch, kernel, 0.5, theta=0.3,
                                      leaf_size=24)
         assert np.allclose(out.velocity, ref.velocity, atol=1e-13)
-        assert ev.last_stats.far_pairs == 0
+        assert m.as_dict()["counters"]["tree.far_pairs"] == 0
 
 
 class TestCoulombEquivalence:

@@ -9,10 +9,13 @@ grid, under ``verify=True`` replay, with a fault plan injecting a crash,
 with a tracer attached, and in the degenerate one-worker pool.
 """
 
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 
 from repro.analysis.commcheck import freeze
+from repro.obs.metrics import MetricsRegistry, use_metrics
 from repro.obs.tracer import Tracer
 from repro.parallel.executor import (
     ComputeTask,
@@ -49,9 +52,7 @@ def _config(**kw):
 def _frozen(res):
     """Backend-invariant fingerprint: numerics + virtual clocks.
 
-    Deliberately excludes ``evaluator_stats`` (driver-side RHS call
-    counters read ~0 when the calls run in workers) and wall-clock
-    artefacts.
+    Deliberately excludes wall-clock artefacts.
     """
     return (
         freeze(res.u_end),
@@ -220,37 +221,59 @@ class TestProcessIdentity:
 class TestMetricsContract:
     def test_counter_totals_match_serial(self):
         """All counters except executor diagnostics and cache-placement
-        splits are exactly equal; cache hits+misses totals always are."""
-        problem, u0 = _grid_problem()
+        splits are exactly equal; cache hits+misses totals always are.
+        An outer ``use_metrics`` registry sees the same tree work with a
+        pool, inline, and with no executor at all."""
+        for p_space in (1, 2):
+            self._check_counter_totals(p_space)
+
+    @staticmethod
+    def _check_counter_totals(p_space):
         kw = dict(
             config=_config(t_end=0.04, n_steps=2, iterations=2),
-            p_time=2, p_space=2,
+            p_time=2, p_space=p_space,
         )
-        serial = run_pfasst(
-            specs=_specs(problem), u0=u0, executor=SerialExecutor(), **kw
-        )
-        with ProcessExecutor(max_workers=2) as ex:
-            process = run_pfasst(specs=_specs(problem), u0=u0, executor=ex, **kw)
+        results, outer = {}, {}
+        for name, executor in (
+            ("none", None),
+            ("serial", SerialExecutor()),
+            ("process", ProcessExecutor(max_workers=2)),
+        ):
+            problem, u0 = _grid_problem()
+            with use_metrics(MetricsRegistry()) as registry, (
+                executor or nullcontext()
+            ):
+                results[name] = run_pfasst(
+                    specs=_specs(problem), u0=u0, executor=executor, **kw
+                )
+            outer[name] = registry.as_dict()["counters"]
 
-        def comparable(res):
+        def comparable(counters):
             return {
-                k: v for k, v in res.metrics["counters"].items()
+                k: v for k, v in counters.items()
                 if not k.startswith("executor.")
                 and not k.startswith("tree.cache.")
             }
 
-        assert comparable(process) == comparable(serial)
+        assert comparable(results["process"].metrics["counters"]) == (
+            comparable(results["serial"].metrics["counters"])
+        )
 
-        def cache_total(res, kind):
-            return sum(
-                v for k, v in res.metrics["counters"].items()
-                if k.startswith("tree.cache.") and k.endswith(kind)
+        def tree_work(counters):
+            # hit/miss *split* depends on worker placement, the totals
+            # of cache lookups do not
+            lookups = sum(
+                v for k, v in counters.items() if k.startswith("tree.cache.")
             )
+            return (lookups, counters["tree.evaluations"],
+                    counters["tree.mac_tests"])
 
-        # hit/miss *split* depends on worker placement, the totals do not
-        total_s = cache_total(serial, "hits") + cache_total(serial, "misses")
-        total_p = cache_total(process, "hits") + cache_total(process, "misses")
-        assert total_p == total_s
+        assert tree_work(outer["process"]) == tree_work(outer["none"])
+        assert tree_work(outer["serial"]) == tree_work(outer["none"])
+        assert comparable(outer["serial"]) == comparable(outer["none"])
+        # FAS restriction re-evaluates the coarse RHS at states the fine
+        # level just built trees for: the shared cache must see hits
+        assert outer["none"]["tree.cache.build.hits"] > 0
 
     def test_registry_merge_accepts_registry_and_snapshot(self):
         from repro.obs.metrics import MetricsRegistry

@@ -102,7 +102,7 @@ class TestShardAndBranches:
         positions, charges = cloud
         ev = SpaceParallelTreeEvaluator("algebraic2", sigma=0.05,
                                         leaf_size=16)
-        state, _ = ev.cache.state(positions, ev.leaf_size, ev.phases)
+        state = ev.cache.state(positions, ev.leaf_size)
         for p in (2, 3, 5):
             shard = compute_shard(state, p)
             assert shard.bounds[0] == 0
@@ -121,14 +121,14 @@ class TestShardAndBranches:
         positions, _ = cloud
         ev = SpaceParallelTreeEvaluator("algebraic2", sigma=0.05,
                                         leaf_size=16)
-        state, _ = ev.cache.state(positions, ev.leaf_size, ev.phases)
+        state = ev.cache.state(positions, ev.leaf_size)
         assert compute_shard(state, 2) is compute_shard(state, 2)
 
     def test_too_many_ranks_raises(self, cloud):
         positions, _ = cloud
         ev = SpaceParallelTreeEvaluator("algebraic2", sigma=0.05,
                                         leaf_size=16)
-        state, _ = ev.cache.state(positions, ev.leaf_size, ev.phases)
+        state = ev.cache.state(positions, ev.leaf_size)
         with pytest.raises(ValueError, match="leaf groups"):
             compute_shard(state, 10_000)
 
@@ -136,8 +136,8 @@ class TestShardAndBranches:
         positions, charges = cloud
         ev = SpaceParallelTreeEvaluator("algebraic2", sigma=0.05,
                                         leaf_size=16)
-        state, _ = ev.cache.state(positions, ev.leaf_size, ev.phases)
-        moments, _ = state.vortex_moments(charges, ev.phases)
+        state = ev.cache.state(positions, ev.leaf_size)
+        moments = state.vortex_moments(charges)
         tree = state.tree
         p = 4
         shard = compute_shard(state, p)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.nbody import coulomb_direct
+from repro.obs import MetricsRegistry, Tracer, use_metrics, use_tracer
 from repro.tree import TreeCoulombSolver, TreeEvaluator
 from repro.vortex import DirectEvaluator, get_kernel, spherical_vortex_sheet
 from repro.vortex.kernels import GaussianKernel
@@ -54,9 +55,9 @@ class TestAccuracy:
         work = []
         for theta in (0.3, 0.6):
             ev = TreeEvaluator(kernel, cfg.sigma, theta=theta, leaf_size=24)
-            ev.field(ps.positions, ps.charges)
-            s = ev.last_stats
-            work.append(s.far_interactions + s.near_interactions)
+            with use_metrics(MetricsRegistry()) as m:
+                ev.field(ps.positions, ps.charges)
+            work.append(m.histogram("tree.interactions_per_particle").total)
         assert work[1] < work[0]
 
     def test_multipole_order_improves_accuracy(self, sheet_setup):
@@ -119,12 +120,29 @@ class TestValidation:
     def test_stats_populated(self, sheet_setup):
         ps, cfg, kernel, _ = sheet_setup
         ev = TreeEvaluator(kernel, cfg.sigma, theta=0.5, leaf_size=24)
-        ev.field(ps.positions, ps.charges)
-        s = ev.last_stats
-        assert s.n_particles == ps.n
-        assert s.n_nodes > 0
-        assert s.interactions_per_particle > 0
-        assert ev.phases.elapsed("traverse") > 0
+        with use_metrics(MetricsRegistry()) as m:
+            ev.field(ps.positions, ps.charges)
+        counters = m.as_dict()["counters"]
+        assert counters["tree.evaluations"] == 1
+        assert counters["tree.mac_tests"] > 0
+        assert counters["tree.far_pairs"] + counters["tree.near_pairs"] > 0
+        ipp = m.histogram("tree.interactions_per_particle")
+        assert ipp.count == 1 and ipp.total > 0
+
+    def test_cold_evaluation_records_every_phase(self, sheet_setup):
+        """Each tree pipeline phase is a wall span of the active tracer
+        (the warm case is ``test_build_timed_only_on_miss``)."""
+        ps, cfg, kernel, _ = sheet_setup
+        ev = TreeEvaluator(kernel, cfg.sigma, theta=0.5, leaf_size=24)
+        with use_tracer(Tracer()) as tracer:
+            ev.field(ps.positions, ps.charges)
+        phases = ["tree_build", "moments", "traverse", "layout",
+                  "far_field", "near_field"]
+        assert [s.name for s in tracer.spans] == phases
+        assert all(s.cat == "phase" and s.clock == "wall"
+                   for s in tracer.spans)
+        traverse = tracer.spans[phases.index("traverse")]
+        assert traverse.t1 > traverse.t0
 
 
 class TestPickling:
@@ -164,7 +182,8 @@ class TestCoulombTree:
         pos = rng.random((n, 3))
         q = np.concatenate([np.ones(n // 2), -np.ones(n // 2)])
         solver = TreeCoulombSolver(theta=0.6, leaf_size=24)
-        phi, e = solver.compute(pos, q)
+        with use_metrics(MetricsRegistry()) as m:
+            phi, e = solver.compute(pos, q)
         assert np.all(np.isfinite(phi))
         assert np.all(np.isfinite(e))
-        assert solver.last_stats.far_interactions > 0
+        assert m.as_dict()["counters"]["tree.far_pairs"] > 0

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.obs import MetricsRegistry, Tracer, use_metrics, use_tracer
 from repro.tree import TreeEvaluator, TreeStateCache, array_fingerprint
 from repro.vortex import get_kernel, spherical_vortex_sheet
 from repro.vortex.sheet import SheetConfig
@@ -13,6 +14,20 @@ def sheet():
     cfg = SheetConfig(n=300)
     ps = spherical_vortex_sheet(cfg)
     return ps, cfg, get_kernel("algebraic6")
+
+
+def _lookups(registry):
+    """The registry's ``tree.cache.*`` counters, keyed by
+    ``<stage>.<hits|misses>``."""
+    return {
+        k[len("tree.cache."):]: v
+        for k, v in registry.as_dict()["counters"].items()
+        if k.startswith("tree.cache.")
+    }
+
+
+ALL_HIT = {"build.hits": 1, "moment.hits": 1, "traversal.hits": 1}
+ALL_MISS = {"build.misses": 1, "moment.misses": 1, "traversal.misses": 1}
 
 
 def _fresh_evaluator(sheet, **kw):
@@ -51,18 +66,14 @@ class TestRepeatedEvaluation:
     def test_identical_state_hits_every_stage(self, sheet):
         ps, _, _ = sheet
         ev = _fresh_evaluator(sheet)
-        first = ev.field(ps.positions, ps.charges)
-        s = ev.last_stats
-        assert not (s.build_cached or s.moments_cached or s.traversal_cached)
-        second = ev.field(ps.positions, ps.charges)
-        s = ev.last_stats
-        assert s.build_cached and s.moments_cached and s.traversal_cached
+        with use_metrics(MetricsRegistry()) as m:
+            first = ev.field(ps.positions, ps.charges)
+        assert _lookups(m) == ALL_MISS
+        with use_metrics(MetricsRegistry()) as m:
+            second = ev.field(ps.positions, ps.charges)
+        assert _lookups(m) == ALL_HIT
         assert np.array_equal(first.velocity, second.velocity)
         assert np.array_equal(first.gradient, second.gradient)
-        cs = ev.cache_stats
-        assert cs.build_hits == 1 and cs.build_misses == 1
-        assert cs.moment_hits == 1 and cs.moment_misses == 1
-        assert cs.traversal_hits == 1 and cs.traversal_misses == 1
 
     def test_perturbed_positions_invalidate(self, sheet):
         ps, _, _ = sheet
@@ -70,11 +81,9 @@ class TestRepeatedEvaluation:
         ev.field(ps.positions, ps.charges)
         moved = ps.positions.copy()
         moved[0, 0] += 1e-9
-        ev.field(moved, ps.charges)
-        s = ev.last_stats
-        assert not s.build_cached
-        assert not s.moments_cached
-        assert not s.traversal_cached
+        with use_metrics(MetricsRegistry()) as m:
+            ev.field(moved, ps.charges)
+        assert _lookups(m) == ALL_MISS
 
     def test_perturbed_charges_invalidate_moments_only(self, sheet):
         ps, _, _ = sheet
@@ -82,11 +91,13 @@ class TestRepeatedEvaluation:
         ev.field(ps.positions, ps.charges)
         bumped = ps.charges.copy()
         bumped[3, 1] *= 1.0 + 1e-10
-        ev.field(ps.positions, bumped)
-        s = ev.last_stats
-        assert s.build_cached  # same positions: tree reused
-        assert not s.moments_cached  # new charges: moments recomputed
-        assert s.traversal_cached  # traversal is geometry-only
+        with use_metrics(MetricsRegistry()) as m:
+            ev.field(ps.positions, bumped)
+        assert _lookups(m) == {
+            "build.hits": 1,  # same positions: tree reused
+            "moment.misses": 1,  # new charges: moments recomputed
+            "traversal.hits": 1,  # traversal is geometry-only
+        }
 
     def test_charge_change_is_bitwise_pure(self, sheet):
         """Regression: the engine layout (cached per geometry) lazily
@@ -100,9 +111,12 @@ class TestRepeatedEvaluation:
         other = ps.charges * 1.1 + 1e-3
         warm = _fresh_evaluator(sheet)
         warm.field(ps.positions, other, gradient=True)
-        hit = warm.field(ps.positions, ps.charges, gradient=True)
-        s = warm.last_stats
-        assert s.build_cached and s.traversal_cached  # warm geometry
+        with use_metrics(MetricsRegistry()) as m:
+            hit = warm.field(ps.positions, ps.charges, gradient=True)
+        # warm geometry, new charges
+        assert _lookups(m) == {
+            "build.hits": 1, "moment.misses": 1, "traversal.hits": 1,
+        }
         cold = _fresh_evaluator(sheet).field(
             ps.positions, ps.charges, gradient=True
         )
@@ -117,17 +131,21 @@ class TestRepeatedEvaluation:
         pos = ps.positions.copy()
         before = ev.field(pos, ps.charges)
         pos[: pos.shape[0] // 2] *= 1.05  # in-place, same object identity
-        after = ev.field(pos, ps.charges)
-        assert not ev.last_stats.build_cached
+        with use_metrics(MetricsRegistry()) as m:
+            after = ev.field(pos, ps.charges)
+        assert _lookups(m) == ALL_MISS
         assert not np.allclose(before.velocity, after.velocity)
 
     def test_build_timed_only_on_miss(self, sheet):
+        """A warm repeat records only the summation phase spans."""
         ps, _, _ = sheet
         ev = _fresh_evaluator(sheet)
         ev.field(ps.positions, ps.charges)
-        builds = ev.phases.timers["tree_build"].count
-        ev.field(ps.positions, ps.charges)
-        assert ev.phases.timers["tree_build"].count == builds
+        with use_tracer(Tracer()) as tracer:
+            ev.field(ps.positions, ps.charges)
+        assert [(s.name, s.cat, s.clock) for s in tracer.spans] == [
+            ("far_field", "phase", "wall"), ("near_field", "phase", "wall"),
+        ]
 
 
 class TestFineCoarseSharing:
@@ -138,11 +156,12 @@ class TestFineCoarseSharing:
         assert coarse.cache is fine.cache
         assert coarse.theta == 0.6
         fine.field(ps.positions, ps.charges)
-        coarse.field(ps.positions, ps.charges)
-        s = coarse.last_stats
         # coarse reuses the fine build + moments, runs its own traversal
-        assert s.build_cached and s.moments_cached
-        assert not s.traversal_cached
+        with use_metrics(MetricsRegistry()) as m:
+            coarse.field(ps.positions, ps.charges)
+        assert _lookups(m) == {
+            "build.hits": 1, "moment.hits": 1, "traversal.misses": 1,
+        }
         assert len(fine.cache) == 1
 
     def test_shared_results_match_unshared(self, sheet):
@@ -163,10 +182,11 @@ class TestFineCoarseSharing:
                           cache=cache)
         b = TreeEvaluator(kernel, cfg.sigma, theta=0.6, leaf_size=24,
                           cache=cache)
-        a.field(ps.positions, ps.charges)
-        b.field(ps.positions, ps.charges)
-        assert cache.stats.build_hits == 1
-        assert cache.stats.build_misses == 1
+        with use_metrics(MetricsRegistry()) as m:
+            a.field(ps.positions, ps.charges)
+            b.field(ps.positions, ps.charges)
+        assert _lookups(m)["build.hits"] == 1
+        assert _lookups(m)["build.misses"] == 1
 
     def test_different_leaf_size_is_a_different_state(self, sheet):
         ps, cfg, kernel = sheet
@@ -175,9 +195,11 @@ class TestFineCoarseSharing:
                           cache=cache)
         b = TreeEvaluator(kernel, cfg.sigma, theta=0.3, leaf_size=32,
                           cache=cache)
-        a.field(ps.positions, ps.charges)
-        b.field(ps.positions, ps.charges)
-        assert cache.stats.build_misses == 2
+        with use_metrics(MetricsRegistry()) as m:
+            a.field(ps.positions, ps.charges)
+            b.field(ps.positions, ps.charges)
+        assert _lookups(m)["build.misses"] == 2
+        assert "build.hits" not in _lookups(m)
         assert len(cache) == 2
 
 
@@ -191,8 +213,9 @@ class TestEviction:
             ev.field(pos, ps.charges)
         assert len(ev.cache) == 2
         # oldest state evicted: re-evaluating it is a miss again
-        ev.field(configs[0], ps.charges)
-        assert not ev.last_stats.build_cached
+        with use_metrics(MetricsRegistry()) as m:
+            ev.field(configs[0], ps.charges)
+        assert _lookups(m) == ALL_MISS
 
     def test_clear(self, sheet):
         ps, _, _ = sheet
@@ -200,42 +223,11 @@ class TestEviction:
         ev.field(ps.positions, ps.charges)
         ev.cache.clear()
         assert len(ev.cache) == 0
-        ev.field(ps.positions, ps.charges)
-        assert not ev.last_stats.build_cached
+        with use_metrics(MetricsRegistry()) as m:
+            ev.field(ps.positions, ps.charges)
+        assert _lookups(m) == ALL_MISS
 
     def test_bad_maxsize_rejected(self):
         with pytest.raises(ValueError, match="maxsize"):
             TreeStateCache(maxsize=0)
 
-
-class TestStatsPlumbing:
-    def test_cache_stats_as_dict_keys(self, sheet):
-        ps, _, _ = sheet
-        ev = _fresh_evaluator(sheet)
-        ev.field(ps.positions, ps.charges)
-        d = ev.cache_stats.as_dict()
-        assert set(d) == {
-            "build_hits", "build_misses", "moment_hits", "moment_misses",
-            "traversal_hits", "traversal_misses",
-        }
-
-    def test_pfasst_surfaces_evaluator_stats(self, sheet):
-        from repro.pfasst import LevelSpec, PfasstConfig, run_pfasst
-        from repro.vortex import VortexProblem
-
-        ps, _, _ = sheet
-        fine_ev = _fresh_evaluator(sheet, theta=0.3)
-        fine = VortexProblem(ps.volumes, fine_ev)
-        coarse = fine.coarsened(0.6)
-        config = PfasstConfig(t0=0.0, t_end=0.5, n_steps=1, iterations=2)
-        specs = [
-            LevelSpec(fine, num_nodes=3, sweeps=1),
-            LevelSpec(coarse, num_nodes=2, sweeps=2),
-        ]
-        result = run_pfasst(config, specs, ps.state(), p_time=1)
-        assert len(result.evaluator_stats) == 2
-        for entry in result.evaluator_stats:
-            assert entry["calls"] > 0
-        # FAS restriction re-evaluates the coarse RHS at fine states whose
-        # trees were just built — the shared cache must see build hits
-        assert result.evaluator_stats[1]["build_hits"] > 0

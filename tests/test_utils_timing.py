@@ -1,10 +1,10 @@
-"""Tests for the phase timers in repro.obs.timing."""
+"""Tests for the Timer stopwatch in repro.obs.timing."""
 
 import time
 
 import pytest
 
-from repro.obs.timing import Timer, TimingRegistry, timed
+from repro.obs.timing import Timer
 
 
 class TestTimer:
@@ -51,46 +51,3 @@ class TestTimer:
         assert dt >= 0.0
         assert dt == pytest.approx(t.elapsed)
 
-
-class TestTimingRegistry:
-    def test_timer_is_cached_by_name(self):
-        reg = TimingRegistry()
-        assert reg.timer("a") is reg.timer("a")
-
-    def test_phase_context_accumulates(self):
-        reg = TimingRegistry()
-        with reg.phase("build"):
-            pass
-        with reg.phase("build"):
-            pass
-        assert reg.timer("build").count == 2
-
-    def test_elapsed_of_unknown_phase_is_zero(self):
-        assert TimingRegistry().elapsed("nope") == 0.0
-
-    def test_report_contains_phase_names(self):
-        reg = TimingRegistry()
-        with reg.phase("traverse"):
-            pass
-        assert "traverse" in reg.report()
-
-    def test_as_dict(self):
-        reg = TimingRegistry()
-        with reg.phase("a"):
-            pass
-        d = reg.as_dict()
-        assert set(d) == {"a"}
-        assert d["a"] >= 0.0
-
-    def test_reset(self):
-        reg = TimingRegistry()
-        with reg.phase("a"):
-            time.sleep(0.002)
-        reg.reset()
-        assert reg.elapsed("a") == 0.0
-
-
-def test_timed_block():
-    with timed() as t:
-        time.sleep(0.005)
-    assert t.elapsed >= 0.002
